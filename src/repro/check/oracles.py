@@ -605,7 +605,6 @@ def _gateway_vs_direct(case: Case) -> Optional[str]:
         gateway = Gateway(
             shards=2,
             shard_factory=lambda index: InlineShard(workers=1),
-            batch_window_ms=0.0,
         )
         await gateway.start()
         try:
@@ -688,7 +687,6 @@ def _gateway_ring_vs_mod(case: Case) -> Optional[str]:
             shards=2,
             routing=routing,
             shard_factory=lambda index: InlineShard(workers=1),
-            batch_window_ms=0.0,
         )
         await gateway.start()
         try:
@@ -760,9 +758,7 @@ def _gateway_restart_equivalence(case: Case) -> Optional[str]:
 
         # supervise=False: this oracle drives the restart hook directly,
         # so a concurrent supervisor sweep mid-swap would only add noise.
-        gateway = Gateway(
-            shards=2, shard_factory=factory, batch_window_ms=0.0, supervise=False
-        )
+        gateway = Gateway(shards=2, shard_factory=factory, supervise=False)
         await gateway.start()
         try:
             first = await gateway.handle_solve(request.to_wire())

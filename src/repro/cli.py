@@ -467,8 +467,7 @@ def _cmd_gateway_bench(args) -> int:
         total = max(1, snap["requests"])
         print(
             f"shard {i}: requests={snap['requests']} hits={snap['hits']} "
-            f"misses={snap['misses']} batched={snap['batched']} "
-            f"hit_ratio={snap['hits'] / total:.2f}"
+            f"misses={snap['misses']} hit_ratio={snap['hits'] / total:.2f}"
         )
     gw = payload["gateway"]
     print(

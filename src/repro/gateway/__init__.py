@@ -2,12 +2,12 @@
 
 Requests hash-shard by canonical instance key across a fleet of
 :class:`~repro.serve.SolverService` worker processes, with admission
-control, 429-backpressure, per-tenant token-bucket quotas, shard-aware
-micro-batching, supervised shard restart (:mod:`~repro.gateway.supervisor`)
-and a choice of mod-N or consistent-hash-ring routing
-(:mod:`~repro.gateway.routing`).  Wire format is ``repro-wire/1``
-(:class:`repro.api.SolveRequest` / :class:`repro.api.SolveResult`).
-See ``docs/GATEWAY.md``.
+control, 429-backpressure, per-tenant token-bucket quotas, one direct
+``solve`` op per admitted request, supervised shard restart
+(:mod:`~repro.gateway.supervisor`) and a choice of mod-N or
+consistent-hash-ring routing (:mod:`~repro.gateway.routing`).  Wire
+format is ``repro-wire/1`` (:class:`repro.api.SolveRequest` /
+:class:`repro.api.SolveResult`).  See ``docs/GATEWAY.md``.
 """
 
 from repro.gateway.core import Gateway

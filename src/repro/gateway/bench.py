@@ -276,7 +276,6 @@ async def _run_bench(
     seed: int,
     inline: bool,
     max_inflight_per_shard: int,
-    batch_window_ms: float,
     workers: int,
     routing: str,
     chaos: bool,
@@ -301,7 +300,6 @@ async def _run_bench(
     gateway = Gateway(
         shards=shards,
         max_inflight_per_shard=max_inflight_per_shard,
-        batch_window_ms=batch_window_ms,
         service_kwargs={"workers": workers},
         shard_factory=factory,
         routing=routing,
@@ -341,10 +339,9 @@ async def _run_bench(
         loop = asyncio.get_event_loop()
 
         # -- client comparison: fresh connections vs keep-alive pool ---------
-        # A warmed (pure cache hit) request with a deadline, so it skips
-        # the micro-batch window and the measurement isolates transport
-        # overhead — the thing pooling actually removes.
-        compare_doc = dict(pairs[0][1], deadline_ms=2000)
+        # A warmed (pure cache hit) request, so the measurement isolates
+        # transport overhead — the thing pooling actually removes.
+        compare_doc = pairs[0][1]
         fresh_ms: List[float] = []
         pooled_ms: List[float] = []
         for _ in range(_CLIENT_COMPARE_REQUESTS):
@@ -502,7 +499,6 @@ def run_gateway_bench(
     seed: int = 7,
     inline: bool = False,
     max_inflight_per_shard: int = 64,
-    batch_window_ms: float = 5.0,
     workers: int = 2,
     routing: str = "mod",
     chaos: bool = False,
@@ -518,7 +514,6 @@ def run_gateway_bench(
             seed=seed,
             inline=inline,
             max_inflight_per_shard=max_inflight_per_shard,
-            batch_window_ms=batch_window_ms,
             workers=workers,
             routing=routing,
             chaos=chaos,

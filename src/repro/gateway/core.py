@@ -14,11 +14,10 @@ deps) that:
 * **meters** tenants through token buckets (``X-Tenant`` header, default
   tenant otherwise); an empty bucket is also a ``429``, with the bucket's
   own refill time as ``Retry-After``;
-* **batches** compatible no-deadline requests per shard inside a small
-  window, draining them through the shard's
-  :meth:`~repro.serve.SolverService.submit_batch` so concurrent cache
-  misses become one cross-instance batched solve.  Deadline-bearing
-  requests bypass the batcher (their budget must not pay the window).
+* **dispatches** every admitted request to its shard as one ``solve`` op
+  the moment it is admitted, so a cache hit costs the hop and the lookup
+  and nothing else.  The shard link is multiplexed by message id, so
+  concurrent requests to one shard are in flight together.
 
 Wire format is ``repro-wire/1`` end to end: the request body is
 ``SolveRequest.to_wire()``, the response wraps ``SolveResult.to_wire()``
@@ -68,56 +67,6 @@ def _retry_after_headers(seconds: float) -> Dict[str, str]:
     return {"Retry-After": str(max(1, math.ceil(seconds)))}
 
 
-class _ShardBatcher:
-    """Per-shard micro-batcher: queue for one window, drain as one batch."""
-
-    def __init__(self, shard, window_ms: float, batch_max: int):
-        self._shard = shard
-        self._window_s = max(0.0, window_ms) / 1e3
-        self._batch_max = max(1, batch_max)
-        self._queue: List[Tuple[Dict[str, Any], "asyncio.Future"]] = []
-        self._flush_handle: Optional[asyncio.TimerHandle] = None
-
-    async def submit(self, doc: Dict[str, Any]) -> Dict[str, Any]:
-        """Enqueue one wire request doc; resolves to its wire result doc."""
-        fut: "asyncio.Future[Dict[str, Any]]" = asyncio.get_event_loop().create_future()
-        self._queue.append((doc, fut))
-        if len(self._queue) >= self._batch_max:
-            self._flush_now()
-        elif self._flush_handle is None:
-            self._flush_handle = asyncio.get_event_loop().call_later(
-                self._window_s, self._flush_now
-            )
-        return await fut
-
-    def _flush_now(self) -> None:
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
-        batch, self._queue = self._queue, []
-        if batch:
-            asyncio.ensure_future(self._drain(batch))
-
-    async def _drain(self, batch) -> None:
-        try:
-            if len(batch) == 1:
-                reply = await self._shard.call("solve", request=batch[0][0])
-                results = [reply["result"]]
-            else:
-                reply = await self._shard.call(
-                    "batch", requests=[doc for doc, _ in batch]
-                )
-                results = reply["results"]
-        except BaseException as exc:
-            for _, fut in batch:
-                if not fut.done():
-                    fut.set_exception(exc)
-            return
-        for (_, fut), result in zip(batch, results):
-            if not fut.done():
-                fut.set_result(result)
-
-
 class Gateway:
     """Sharded HTTP gateway over ``shards`` solver worker processes.
 
@@ -128,8 +77,7 @@ class Gateway:
     buckets (``None`` disables quotas); ``max_inflight_per_shard`` bounds
     admission, with ``saturation_retry_after_s`` as the backoff hint a
     saturated shard's 429 carries (the quota path computes its hint from
-    the bucket's refill time; both format through one helper);
-    ``batch_window_ms``/``batch_max`` tune micro-batching.
+    the bucket's refill time; both format through one helper).
 
     ``store_dir`` mounts a durable result store under each shard: shard
     ``i`` opens a :class:`repro.store.ResultStore` at
@@ -152,8 +100,6 @@ class Gateway:
         max_inflight_per_shard: int = 64,
         quota_rate: Optional[float] = None,
         quota_burst: Optional[float] = None,
-        batch_window_ms: float = 5.0,
-        batch_max: int = 16,
         saturation_retry_after_s: float = 1.0,
         routing: str = "mod",
         ring_vnodes: int = 64,
@@ -202,8 +148,6 @@ class Gateway:
         self._failover_retry_after_s = failover_retry_after_s
         quota_kwargs = {} if clock is None else {"clock": clock}
         self._quota = QuotaManager(quota_rate, quota_burst, **quota_kwargs)
-        self._batch_window_ms = batch_window_ms
-        self._batch_max = batch_max
         if shard_factory is None:
             kwargs = dict(service_kwargs or {})
 
@@ -216,7 +160,6 @@ class Gateway:
         self._shard_factory = shard_factory
         self._tracer = tracer if tracer is not None else current_tracer()
         self._shards: List[Any] = []
-        self._batchers: List[_ShardBatcher] = []
         self._inflight: List[int] = []
         self._down: List[bool] = []
         self._recovered: List[asyncio.Event] = []
@@ -244,9 +187,6 @@ class Gateway:
             shard = self._shard_factory(index)
             await shard.start()
             self._shards.append(shard)
-            self._batchers.append(
-                _ShardBatcher(shard, self._batch_window_ms, self._batch_max)
-            )
             self._inflight.append(0)
             self._down.append(False)
             self._generation.append(0)
@@ -271,7 +211,6 @@ class Gateway:
         for shard in self._shards:
             await shard.stop()
         self._shards = []
-        self._batchers = []
         self._inflight = []
         self._down = []
         self._recovered = []
@@ -318,8 +257,7 @@ class Gateway:
         The old shard is stopped best-effort (it may already be a
         corpse); the replacement comes from the same factory that built
         it — including its ``store_path``, so a store-backed shard
-        prewarms from disk.  The batcher is rebound so queued windows
-        drain into the new worker.
+        prewarms from disk.
         """
         old = self._shards[index]
         try:
@@ -329,9 +267,6 @@ class Gateway:
         shard = self._shard_factory(index)
         await shard.start()
         self._shards[index] = shard
-        self._batchers[index] = _ShardBatcher(
-            shard, self._batch_window_ms, self._batch_max
-        )
         self._generation[index] += 1
 
     async def _await_recovery(self, index: int, generation: Optional[int] = None) -> bool:
@@ -413,9 +348,6 @@ class Gateway:
             shard = self._shard_factory(index)
             await shard.start()
             self._shards.append(shard)
-            self._batchers.append(
-                _ShardBatcher(shard, self._batch_window_ms, self._batch_max)
-            )
             self._inflight.append(0)
             self._down.append(False)
             self._generation.append(0)
@@ -435,7 +367,6 @@ class Gateway:
         if new_shards < old_n:
             dropped = self._shards[new_shards:]
             del self._shards[new_shards:]
-            del self._batchers[new_shards:]
             del self._inflight[new_shards:]
             del self._down[new_shards:]
             del self._recovered[new_shards:]
@@ -451,14 +382,10 @@ class Gateway:
             "moved_fraction": moved_fraction,
         }
 
-    async def _dispatch(
-        self, shard_index: int, request: SolveRequest, doc: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        """Ship one admitted request to its shard (batched unless deadlined)."""
-        if request.deadline_ms is not None:
-            reply = await self._shards[shard_index].call("solve", request=doc)
-            return reply["result"]
-        return await self._batchers[shard_index].submit(doc)
+    async def _dispatch(self, shard_index: int, doc: Dict[str, Any]) -> Dict[str, Any]:
+        """Ship one admitted request to its shard; resolves to the result doc."""
+        reply = await self._shards[shard_index].call("solve", request=doc)
+        return reply["result"]
 
     async def handle_solve(
         self, doc: Dict[str, Any], tenant: str = "default"
@@ -501,7 +428,7 @@ class Gateway:
                     return self._unavailable(shard_index)
             generation = self._generation[shard_index]
             try:
-                result_doc = await self._dispatch(shard_index, request, doc)
+                result_doc = await self._dispatch(shard_index, doc)
             except ShardError as exc:
                 if exc.is_client_error:
                     return 400, {"error": str(exc), "shard": shard_index}, {}
@@ -515,7 +442,7 @@ class Gateway:
                 if not await self._await_recovery(shard_index, generation):
                     return self._unavailable(shard_index)
                 try:
-                    result_doc = await self._dispatch(shard_index, request, doc)
+                    result_doc = await self._dispatch(shard_index, doc)
                 except ShardError as retry_exc:
                     if retry_exc.is_client_error:
                         return 400, {"error": str(retry_exc), "shard": shard_index}, {}

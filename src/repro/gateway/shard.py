@@ -7,10 +7,9 @@ connection:
     -> {"id": 7, "op": "solve", "request": {<repro-wire/1 solve_request>}}
     <- {"id": 7, "ok": true, "result": {<repro-wire/1 solve_result>}}
 
-Ops: ``solve`` (one request), ``batch`` (a list of requests drained
-through :meth:`SolverService.submit_batch`, so compatible cache-miss
-groups become one cross-instance batched solve), ``stats`` (a
-:meth:`ServiceStats.as_dict` snapshot), ``ping`` and ``shutdown``.
+Ops: ``solve`` (one request through :meth:`SolverService.submit`),
+``stats`` (a :meth:`ServiceStats.as_dict` snapshot), ``ping`` and
+``shutdown``.
 Failures travel as ``{"ok": false, "error": ..., "etype": ...}`` —
 ``etype`` preserves enough type information for the gateway to map
 validation errors to HTTP 400 and everything else to 502.
@@ -68,11 +67,6 @@ async def _handle_op(svc, msg: Dict[str, Any]) -> Dict[str, Any]:
         req = SolveRequest.from_wire(msg["request"])
         result = await asyncio.wrap_future(svc.submit(req))
         return {"ok": True, "result": result.to_wire()}
-    if op == "batch":
-        reqs = [SolveRequest.from_wire(doc) for doc in msg["requests"]]
-        futs = svc.submit_batch(reqs)
-        results = await asyncio.gather(*(asyncio.wrap_future(f) for f in futs))
-        return {"ok": True, "results": [r.to_wire() for r in results]}
     if op == "shutdown":
         return {"ok": True, "stop": True}
     raise ValueError(f"unknown shard op {op!r}")

@@ -2,7 +2,7 @@
 
 Most tests drive :meth:`Gateway.handle_solve` directly or the real HTTP
 server over inline (in-process) shards — the full wire codec, routing,
-admission, quota and batching paths without forking.  One end-to-end
+admission and quota paths without forking.  One end-to-end
 test runs a real two-process shard fleet.
 """
 
@@ -131,9 +131,7 @@ class TestTokenBucket:
 class TestGatewayInline:
     def test_solve_routes_to_hashed_shard_and_hits_cache(self):
         async def scenario():
-            gateway = Gateway(
-                shards=2, shard_factory=_inline_factory(), batch_window_ms=0.0
-            )
+            gateway = Gateway(shards=2, shard_factory=_inline_factory())
             async with gateway:
                 outcomes = []
                 for req in _requests(6):
@@ -163,31 +161,43 @@ class TestGatewayInline:
         assert stats["gateway"]["admitted"] == 12
         assert stats["gateway"]["sharded"] == 12
 
-    def test_batching_drains_compatible_misses_together(self):
+    def test_admitted_requests_reach_the_shard_at_once_as_solve_ops(self):
+        """Each admitted request is its own ``solve`` op, sent the moment it
+        is admitted: four concurrent requests to one shard are all in
+        flight after a single event-loop turn, with no timer in between."""
+
+        class GatedShard(InlineShard):
+            def __init__(self):
+                super().__init__(workers=1)
+                self.ops = []
+                self.gate = asyncio.Event()
+
+            async def call(self, op, **payload):
+                self.ops.append(op)
+                await self.gate.wait()
+                return await super().call(op, **payload)
+
         async def scenario():
-            gateway = Gateway(
-                shards=1,
-                shard_factory=_inline_factory(workers=2),
-                batch_window_ms=50.0,
-                batch_max=64,
-            )
+            shard = GatedShard()
+            gateway = Gateway(shards=1, shard_factory=lambda index: shard, supervise=False)
             async with gateway:
                 reqs = _requests(4, seed=300)
-                results = await asyncio.gather(
-                    *(gateway.handle_solve(r.to_wire()) for r in reqs)
-                )
-                stats = await gateway.fleet_stats()
-            return results, stats
+                pending = [
+                    asyncio.ensure_future(gateway.handle_solve(r.to_wire()))
+                    for r in reqs
+                ]
+                await asyncio.sleep(0)
+                in_flight = list(shard.ops)
+                shard.gate.set()
+                results = await asyncio.gather(*pending)
+            return reqs, in_flight, results
 
-        results, stats = _run(scenario())
-        assert all(status == 200 for status, _, _ in results)
-        # All four arrived inside one window: the shard saw them as one
-        # submit_batch and drained the misses through a batched solve.
-        assert stats["fleet"]["batched"] == 4
-        for status, payload, _ in results:
-            assert SolveResult.from_wire(payload["result"]).metrics.get(
-                "served.batched"
-            )
+        reqs, in_flight, results = _run(scenario())
+        assert in_flight == ["solve"] * 4
+        for req, (status, payload, _) in zip(reqs, results):
+            assert status == 200
+            served = SolveResult.from_wire(payload["result"])
+            assert served.value == solve_k_bounded(req.jobs, k=req.k).value
 
     def test_quota_denial_is_429_with_retry_after(self):
         async def scenario():
@@ -195,7 +205,6 @@ class TestGatewayInline:
             gateway = Gateway(
                 shards=2,
                 shard_factory=_inline_factory(),
-                batch_window_ms=0.0,
                 quota_rate=1.0,
                 quota_burst=2,
                 clock=lambda: now[0],
@@ -237,9 +246,9 @@ class TestGatewayInline:
                 pass
 
             async def call(self, op, **payload):
-                if op in ("solve", "batch"):
+                if op == "solve":
                     await self.release.wait()
-                return {"ok": True, "result": None, "results": []}
+                return {"ok": True, "result": None}
 
             async def stop(self):
                 self.release.set()
@@ -249,7 +258,6 @@ class TestGatewayInline:
             gateway = Gateway(
                 shards=1,
                 shard_factory=lambda index: stuck,
-                batch_window_ms=0.0,
                 max_inflight_per_shard=1,
             )
             async with gateway:
@@ -284,9 +292,9 @@ class TestGatewayInline:
                 pass
 
             async def call(self, op, **payload):
-                if op in ("solve", "batch"):
+                if op == "solve":
                     await self.release.wait()
-                return {"ok": True, "result": None, "results": []}
+                return {"ok": True, "result": None}
 
             async def stop(self):
                 self.release.set()
@@ -296,7 +304,6 @@ class TestGatewayInline:
             gateway = Gateway(
                 shards=1,
                 shard_factory=lambda index: stuck,
-                batch_window_ms=0.0,
                 max_inflight_per_shard=1,
                 saturation_retry_after_s=3.2,
             )
@@ -331,9 +338,9 @@ class TestGatewayInline:
                 pass
 
             async def call(self, op, **payload):
-                if op in ("solve", "batch"):
+                if op == "solve":
                     await self.release.wait()
-                return {"ok": True, "result": None, "results": []}
+                return {"ok": True, "result": None}
 
             async def stop(self):
                 self.release.set()
@@ -345,7 +352,6 @@ class TestGatewayInline:
             quota_gw = Gateway(
                 shards=1,
                 shard_factory=_inline_factory(),
-                batch_window_ms=0.0,
                 quota_rate=0.5,
                 quota_burst=1,
                 clock=lambda: now[0],
@@ -361,7 +367,6 @@ class TestGatewayInline:
             sat_gw = Gateway(
                 shards=1,
                 shard_factory=lambda index: stuck,
-                batch_window_ms=0.0,
                 max_inflight_per_shard=1,
                 saturation_retry_after_s=2.5,
             )
@@ -388,9 +393,7 @@ class TestGatewayInline:
 
     def test_bad_wire_document_is_400(self):
         async def scenario():
-            gateway = Gateway(
-                shards=1, shard_factory=_inline_factory(), batch_window_ms=0.0
-            )
+            gateway = Gateway(shards=1, shard_factory=_inline_factory())
             async with gateway:
                 return [
                     await gateway.handle_solve({"format": "nope"}),
@@ -403,9 +406,7 @@ class TestGatewayInline:
 
     def test_shard_side_validation_error_maps_to_400(self):
         async def scenario():
-            gateway = Gateway(
-                shards=1, shard_factory=_inline_factory(), batch_window_ms=0.0
-            )
+            gateway = Gateway(shards=1, shard_factory=_inline_factory())
             async with gateway:
                 doc = _requests(1)[0].to_wire()
                 doc["k"] = 10**6  # passes SolveRequest, fails solver-side cap
@@ -416,9 +417,7 @@ class TestGatewayInline:
 
     def test_http_surface_end_to_end(self):
         async def scenario():
-            gateway = Gateway(
-                shards=2, shard_factory=_inline_factory(), batch_window_ms=0.0
-            )
+            gateway = Gateway(shards=2, shard_factory=_inline_factory())
             async with gateway:
                 host, port = "127.0.0.1", gateway.port
                 req = _requests(1)[0]
@@ -472,9 +471,7 @@ class TestGatewayInline:
 class TestGatewayProcessFleet:
     def test_two_process_shards_end_to_end(self):
         async def scenario():
-            gateway = Gateway(
-                shards=2, service_kwargs={"workers": 1}, batch_window_ms=2.0
-            )
+            gateway = Gateway(shards=2, service_kwargs={"workers": 1})
             async with gateway:
                 host, port = "127.0.0.1", gateway.port
                 reqs = _requests(4, seed=500)
@@ -600,7 +597,6 @@ class TestRingRouting:
                 shards=3,
                 routing="ring",
                 shard_factory=_inline_factory(),
-                batch_window_ms=0.0,
             )
             async with gateway:
                 answers = []
@@ -630,7 +626,6 @@ class TestRingRouting:
                 shards=2,
                 routing="ring",
                 shard_factory=_inline_factory(),
-                batch_window_ms=0.0,
             )
             async with gateway:
                 before = [await gateway.handle_solve(r.to_wire()) for r in reqs]
@@ -660,9 +655,7 @@ class TestRingRouting:
         reqs = _requests(4, seed=320)
 
         async def scenario():
-            gateway = Gateway(
-                shards=2, shard_factory=_inline_factory(), batch_window_ms=0.0
-            )
+            gateway = Gateway(shards=2, shard_factory=_inline_factory())
             async with gateway:
                 report = await gateway.reshard(3)
                 answers = [await gateway.handle_solve(r.to_wire()) for r in reqs]
@@ -683,7 +676,6 @@ class TestRingRouting:
                 shards=3,
                 routing="ring",
                 shard_factory=_inline_factory(),
-                batch_window_ms=0.0,
             )
             async with gateway:
                 report = await gateway.reshard(2)
@@ -734,7 +726,6 @@ class TestSupervisor:
             gateway = Gateway(
                 shards=2,
                 shard_factory=lambda index: _MortalShard(workers=1),
-                batch_window_ms=0.0,
                 supervisor_kwargs=_FAST_SUPERVISOR,
             )
             async with gateway:
@@ -781,7 +772,6 @@ class TestSupervisor:
             gateway = Gateway(
                 shards=2,
                 shard_factory=factory,
-                batch_window_ms=0.0,
                 supervisor_kwargs=dict(_FAST_SUPERVISOR, max_restart_attempts=2),
                 failover_retry_s=0.2,
                 failover_retry_after_s=2.5,
@@ -818,9 +808,7 @@ class TestConnectionPool:
         }
 
         async def scenario():
-            gateway = Gateway(
-                shards=2, shard_factory=_inline_factory(), batch_window_ms=0.0
-            )
+            gateway = Gateway(shards=2, shard_factory=_inline_factory())
             async with gateway:
                 pool = ConnectionPool("127.0.0.1", gateway.port, max_idle=4)
 
@@ -850,9 +838,7 @@ class TestConnectionPool:
         req = _requests(1, seed=460)[0]
 
         async def scenario():
-            gateway = Gateway(
-                shards=1, shard_factory=_inline_factory(), batch_window_ms=0.0
-            )
+            gateway = Gateway(shards=1, shard_factory=_inline_factory())
             async with gateway:
                 pool = ConnectionPool("127.0.0.1", gateway.port)
                 first = await pool.request("POST", "/v1/solve", req.to_wire())

@@ -48,7 +48,6 @@ class TestGatewayChaos:
                 # off the shard's disk store (served.store_hit), not a
                 # prewarmed LRU.
                 service_kwargs={"workers": 1, "prewarm": False},
-                batch_window_ms=2.0,
                 supervisor_kwargs=dict(
                     interval_s=0.05,
                     ping_timeout_s=0.5,
@@ -158,7 +157,6 @@ class TestGatewayChaos:
             gateway = Gateway(
                 shards=2,
                 service_kwargs={"workers": 1},
-                batch_window_ms=0.0,
                 supervisor_kwargs=dict(
                     interval_s=0.05,
                     ping_timeout_s=0.5,
@@ -207,7 +205,6 @@ class TestGatewayChaos:
             gateway = Gateway(
                 shards=1,
                 service_kwargs={"workers": 1},
-                batch_window_ms=0.0,
                 supervisor_kwargs=dict(
                     interval_s=0.05,
                     ping_timeout_s=0.1,

@@ -450,11 +450,9 @@ class TestGatewayStoreConfig:
             )
 
         async def drive():
-            async with Gateway(shards=2, shard_factory=factory,
-                               batch_window_ms=0.0) as gw:
+            async with Gateway(shards=2, shard_factory=factory) as gw:
                 first = [await gw.handle_solve(r.to_wire()) for r in reqs]
-            async with Gateway(shards=2, shard_factory=factory,
-                               batch_window_ms=0.0) as gw:
+            async with Gateway(shards=2, shard_factory=factory) as gw:
                 second = [await gw.handle_solve(r.to_wire()) for r in reqs]
                 stats = await gw.fleet_stats()
             return first, second, stats
