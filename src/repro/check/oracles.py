@@ -139,10 +139,9 @@ def _opt_exact_vs_lawler_dp(case: Case) -> Optional[str]:
 @register_oracle(
     "opt-bitset-vs-legacy",
     "jobs",
-    "bitset OPT_∞ core (both engines) equals the retained per-node-EDF reference",
+    "bitset OPT_∞ core equals the retained per-node-EDF reference",
 )
 def _opt_bitset_vs_legacy(case: Case) -> Optional[str]:
-    from repro.scheduling.bitset_bb import bitset_solve
     from repro.scheduling.exact import opt_infty_reference_value, opt_infty_value
 
     jobs = case.payload  # fuzz payloads are n <= 10, inside the n <= 16 regime
@@ -152,16 +151,6 @@ def _opt_bitset_vs_legacy(case: Case) -> Optional[str]:
         return (
             f"OPT_∞ disagreement: bitset core {new} vs legacy subset "
             f"reference {legacy} (n={jobs.n})"
-        )
-    # Engine bit-identity on the same case: the generic python search and
-    # the array kernel (jitted where numba exists, the uncompiled fallback
-    # otherwise) must report the same optimal value.
-    py = bitset_solve(jobs, engine="python")
-    kern = bitset_solve(jobs, engine="kernel")
-    if py.value != kern.value:
-        return (
-            f"bitset engines disagree: python {py.value} vs kernel "
-            f"{kern.value} (n={jobs.n})"
         )
     return None
 
@@ -482,10 +471,10 @@ def _served_vs_direct(case: Case) -> Optional[str]:
             )
         if json.dumps(schedule_to_dict(served.schedule), sort_keys=True) != direct_bytes:
             return f"serve {label} schedule differs from the direct solve's (k={k})"
-    if stats["misses"] != 1 or stats["hits"] != 1:
+    if stats.misses != 1 or stats.hits != 1:
         return (
             "serve cache bookkeeping wrong for identical back-to-back requests: "
-            f"misses {stats['misses']}, hits {stats['hits']} (want 1 and 1)"
+            f"misses {stats.misses}, hits {stats.hits} (want 1 and 1)"
         )
     if not hit.metrics.get("served.hit"):
         return "cache-hit result is missing its served.hit metrics flag"
@@ -542,10 +531,10 @@ def _store_vs_memory(case: Case) -> Optional[str]:
             f"store-backed cold solve diverges from direct (k={k}): "
             f"value {cold.value} vs {direct.value}"
         )
-    if first_stats["store_writes"] != 1:
+    if first_stats.store_writes != 1:
         return (
             f"cold solve was not persisted exactly once (k={k}): "
-            f"store_writes {first_stats['store_writes']}"
+            f"store_writes {first_stats.store_writes}"
         )
     if calls:
         return (
@@ -554,10 +543,10 @@ def _store_vs_memory(case: Case) -> Optional[str]:
         )
     if not warm.metrics.get("served.store_hit"):
         return f"restart answer is missing its served.store_hit metrics flag (k={k})"
-    if second_stats["store_hits"] != 1:
+    if second_stats.store_hits != 1:
         return (
             f"restart bookkeeping wrong (k={k}): store_hits "
-            f"{second_stats['store_hits']} (want 1)"
+            f"{second_stats.store_hits} (want 1)"
         )
     for label, served in (("cold", cold), ("restart", warm)):
         if json.dumps(schedule_to_dict(served.schedule), sort_keys=True) != direct_bytes:
@@ -583,15 +572,15 @@ def _gateway_vs_direct(case: Case) -> Optional[str]:
 
     Uses in-process shards behind :meth:`Gateway.handle_solve` (no
     sockets, no forks — fuzz runs hundreds of cases), which still
-    exercises every wire encode/decode, the shard hash and the shard-side
-    batcher exactly as the HTTP server does.  The end-to-end socket path
+    exercises every wire encode/decode, the ring routing and the shard
+    dispatch exactly as the HTTP server does.  The end-to-end socket path
     is covered by ``tests/test_gateway.py`` and the CI gateway-bench
     smoke, whose warmup phase performs this same comparison over HTTP.
     """
     import asyncio
 
     from repro.api import SolveRequest, SolveResult, solve_k_bounded
-    from repro.gateway import Gateway, InlineShard, shard_for_key
+    from repro.gateway import Gateway, HashRing, InlineShard
 
     jobs, k = case.payload, case.params["k"]
     request = SolveRequest(jobs=jobs, k=k)
@@ -599,7 +588,7 @@ def _gateway_vs_direct(case: Case) -> Optional[str]:
     if roundtrip != request or roundtrip.key() != request.key():
         return f"repro-wire/1 round trip changed the request (k={k})"
     direct = solve_k_bounded(jobs, k)
-    expected_shard = shard_for_key(request.canonical_key(), 2)
+    expected_shard = HashRing(2).shard_for(request.canonical_key())
 
     async def drive():
         gateway = Gateway(
@@ -636,36 +625,25 @@ def _gateway_vs_direct(case: Case) -> Optional[str]:
 
 
 @register_oracle(
-    "gateway-ring-vs-mod",
+    "gateway-ring",
     "jobs",
-    "ring routing is deterministic, monotone under fleet growth, and serves "
-    "the same answers as mod-N",
+    "ring routing is deterministic and monotone under fleet growth",
 )
-def _gateway_ring_vs_mod(case: Case) -> Optional[str]:
-    """Check the consistent-hash ring against mod-N on one case's key.
+def _gateway_ring(case: Case) -> Optional[str]:
+    """Check the consistent-hash ring's routing math on one case's key.
 
-    Pure routing math first — determinism (``ring_shard_for_key`` equals
-    a fresh :class:`HashRing` lookup, in range, for fleets of 1..8) and
-    the defining consistent-hashing property, *monotonicity*: growing the
-    fleet from ``n`` to ``n+1`` shards either keeps the key's owner or
-    moves it to the new shard ``n``, never to a pre-existing one.  Then
-    one in-process gateway per routing mode proves both modes serve the
-    direct-solve answer and route to the shard their hash predicts.
+    Determinism (``ring_shard_for_key`` equals a fresh :class:`HashRing`
+    lookup, in range, for fleets of 1..8) and the defining
+    consistent-hashing property, *monotonicity*: growing the fleet from
+    ``n`` to ``n+1`` shards either keeps the key's owner or moves it to
+    the new shard ``n``, never to a pre-existing one.  That the gateway
+    routes by this ring is checked by ``gateway-vs-direct``.
     """
-    import asyncio
-
-    from repro.api import SolveRequest, SolveResult, solve_k_bounded
-    from repro.gateway import (
-        Gateway,
-        HashRing,
-        InlineShard,
-        ring_shard_for_key,
-        shard_for_key,
-    )
+    from repro.api import SolveRequest
+    from repro.gateway import HashRing, ring_shard_for_key
 
     jobs, k = case.payload, case.params["k"]
-    request = SolveRequest(jobs=jobs, k=k)
-    key = request.canonical_key()
+    key = SolveRequest(jobs=jobs, k=k).canonical_key()
     for n in range(1, 9):
         owner = ring_shard_for_key(key, n)
         if owner != HashRing(n).shard_for(key):
@@ -679,38 +657,6 @@ def _gateway_ring_vs_mod(case: Case) -> Optional[str]:
             return (
                 f"ring growth {n}->{n + 1} moved the key from shard {before} "
                 f"to pre-existing shard {after} instead of the new one (k={k})"
-            )
-    direct = solve_k_bounded(jobs, k)
-
-    async def drive(routing: str):
-        gateway = Gateway(
-            shards=2,
-            routing=routing,
-            shard_factory=lambda index: InlineShard(workers=1),
-        )
-        await gateway.start()
-        try:
-            return await gateway.handle_solve(request.to_wire())
-        finally:
-            await gateway.stop()
-
-    for routing, expected_shard in (
-        ("mod", shard_for_key(key, 2)),
-        ("ring", HashRing(2).shard_for(key)),
-    ):
-        status, payload, _headers = asyncio.run(drive(routing))
-        if status != 200:
-            return f"{routing} gateway failed: HTTP {status} {payload} (k={k})"
-        if payload["shard"] != expected_shard:
-            return (
-                f"{routing} gateway routed to shard {payload['shard']}, "
-                f"expected {expected_shard} (k={k})"
-            )
-        served = SolveResult.from_wire(payload["result"])
-        if served.value != direct.value:
-            return (
-                f"{routing} gateway diverges from direct solve (k={k}): "
-                f"value {served.value} vs {direct.value}"
             )
     return None
 

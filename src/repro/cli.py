@@ -317,7 +317,7 @@ def _cmd_serve_bench(args) -> int:
     print(f"cached p50 speedup: {speedup:.1f}x")
     print(
         "service: "
-        + ", ".join(f"{name}={stats[name]}" for name in ("requests", "hits", "misses", "coalesced", "batched", "degraded", "evictions"))
+        + ", ".join(f"{name}={getattr(stats, name)}" for name in ("requests", "hits", "misses", "coalesced", "batched", "degraded", "evictions"))
     )
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -400,18 +400,16 @@ def _cmd_gateway_bench(args) -> int:
 
     Starts a :class:`~repro.gateway.Gateway` over ``--shards`` solver
     worker processes, warms every corpus instance (verifying each response
-    against a direct solve and each route against the shard hash), then
+    against a direct solve and each route against the hash ring), then
     fires Poisson arrivals at ``--rps`` for ``--duration`` seconds.
     Reports p50/p99 latency, throughput, per-shard cache hit ratios and
     what keep-alive pooling buys the client (``client_pool.p50_speedup``);
     ``--max-p99-ms`` and the built-in zero-disagreement /
     per-shard-nonzero-hits gates set the exit status for CI.
 
-    ``--routing ring`` switches the fleet to consistent-hash routing (the
-    route oracle follows).  ``--chaos`` SIGKILLs one shard worker partway
-    through the timed phase and additionally gates on zero wrong answers,
-    zero unanswered requests, and supervisor recovery within
-    ``--max-recovery-ms``.
+    ``--chaos`` SIGKILLs one shard worker partway through the timed
+    phase and additionally gates on zero wrong answers, zero unanswered
+    requests, and supervisor recovery within ``--max-recovery-ms``.
     """
     import json
 
@@ -447,7 +445,6 @@ def _cmd_gateway_bench(args) -> int:
         seed=args.seed,
         inline=args.inline,
         workers=args.workers,
-        routing=args.routing,
         chaos=args.chaos,
     )
     print(
@@ -689,10 +686,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     gateway_p.add_argument(
         "--max-p99-ms", type=float, default=None, metavar="MS",
         help="exit 1 if timed-phase p99 latency exceeds this SLO",
-    )
-    gateway_p.add_argument(
-        "--routing", choices=("mod", "ring"), default="mod",
-        help="shard routing: mod-N hash or consistent-hash ring",
     )
     gateway_p.add_argument(
         "--chaos", action="store_true",

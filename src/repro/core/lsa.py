@@ -25,7 +25,6 @@ from repro.scheduling.job import Job, JobSet
 from repro.scheduling.schedule import Schedule
 from repro.scheduling.segment import Segment
 from repro.scheduling.timeline import Timeline, allocate_leftmost
-from repro.utils.compat import take_deprecated_positional
 from repro.utils.numeric import geq, gt, leq
 
 
@@ -39,8 +38,8 @@ def _check_lax(jobs: JobSet, k: int) -> None:
 
 def lsa(
     jobs: JobSet,
-    *args,
-    k: Optional[int] = None,
+    *,
+    k: int,
     order: str = "density",
     timeline: Optional[Timeline] = None,
     enforce_laxity: bool = True,
@@ -51,11 +50,7 @@ def lsa(
     ablation); ``timeline`` lets the multi-machine wrapper thread partially
     booked machines through; ``enforce_laxity=False`` disables the lax-input
     check for experiments that deliberately run LSA out of spec.
-
-    ``k`` is keyword-only; the legacy positional form still works but emits
-    a :class:`DeprecationWarning`.
     """
-    k = take_deprecated_positional("lsa", "k", args, k)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if enforce_laxity and k >= 1:
@@ -127,8 +122,8 @@ def _place_job(tl: Timeline, job: Job, k: int, tracer=None) -> Optional[List[Seg
 
 def lsa_cs(
     jobs: JobSet,
-    *args,
-    k: Optional[int] = None,
+    *,
+    k: int,
     order: str = "density",
     return_all_classes: bool = False,
     enforce_laxity: bool = True,
@@ -149,11 +144,7 @@ def lsa_cs(
     analysis, never the feasibility argument), which is what the serve
     layer's deadline degradation relies on.  The Lemma 4.10 guarantee
     applies only to the lax fraction of the instance in that mode.
-
-    ``k`` is keyword-only; the legacy positional form still works but emits
-    a :class:`DeprecationWarning`.
     """
-    k = take_deprecated_positional("lsa_cs", "k", args, k)
     if k < 1:
         raise ValueError(
             f"lsa_cs requires k >= 1, got {k}; use repro.core.nonpreemptive for k = 0"

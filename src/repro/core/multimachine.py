@@ -10,7 +10,7 @@ at a constant factor via [18], which the O-notation absorbs.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from repro.core.combined import schedule_k_bounded
 from repro.core.nonpreemptive import nonpreemptive_combined
@@ -18,37 +18,22 @@ from repro.obs.tracer import current_tracer
 from repro.scheduling.edf import edf_accept_max_subset, edf_feasible, edf_schedule
 from repro.scheduling.job import JobSet
 from repro.scheduling.schedule import MultiMachineSchedule, Schedule
-from repro.utils.compat import take_deprecated_positional, warn_positional
 
 SingleMachineAlgorithm = Callable[[JobSet], Schedule]
 
 
 def iterated_assignment(
     jobs: JobSet,
-    algorithm: Optional[SingleMachineAlgorithm] = None,
-    *args,
-    machines: Optional[int] = None,
+    algorithm: SingleMachineAlgorithm,
+    *,
+    machines: int = 1,
 ) -> MultiMachineSchedule:
     """Generic iterated per-machine assignment.
 
     ``algorithm`` maps a job set to a single-machine schedule; each round
     the scheduled jobs are removed and the residual set goes to the next
     machine (``J_i = J \\ ∪_{k<i} J'_k`` in the paper's notation).
-
-    ``machines`` is keyword-only; the legacy
-    ``iterated_assignment(jobs, machines, algorithm)`` form still works but
-    emits a :class:`DeprecationWarning`.
     """
-    if args:
-        # Legacy (jobs, machines, algorithm) ordering.
-        if len(args) > 1 or machines is not None:
-            raise TypeError("iterated_assignment() got conflicting positional arguments")
-        warn_positional("iterated_assignment", "machines")
-        machines, algorithm = algorithm, args[0]
-    if algorithm is None:
-        raise TypeError("iterated_assignment() missing required argument: 'algorithm'")
-    if machines is None:
-        machines = 1
     if machines < 1:
         raise ValueError(f"need at least one machine, got {machines}")
     tracer = current_tracer()
@@ -76,8 +61,8 @@ def iterated_assignment(
 
 def multimachine_k_bounded(
     jobs: JobSet,
-    *args,
-    k: Optional[int] = None,
+    *,
+    k: int,
     machines: int = 1,
 ) -> MultiMachineSchedule:
     """k-bounded preemptive scheduling on ``m`` non-migrative machines.
@@ -85,20 +70,7 @@ def multimachine_k_bounded(
     Iterates the full single-machine pipeline (Algorithm 3 wrapped by
     :func:`repro.core.combined.schedule_k_bounded`); Section 4.3.4 shows the
     ``O(log_{k+1} P)`` price survives this extension.
-
-    ``k`` and ``machines`` are keyword-only; the legacy
-    ``multimachine_k_bounded(jobs, k, machines)`` form still works but emits
-    a :class:`DeprecationWarning`.
     """
-    if args:
-        if len(args) > 2 or k is not None:
-            raise TypeError("multimachine_k_bounded() got conflicting positional arguments")
-        warn_positional("multimachine_k_bounded", "k/machines")
-        k = args[0]
-        if len(args) == 2:
-            machines = args[1]
-    if k is None:
-        raise TypeError("multimachine_k_bounded() missing required keyword-only argument: 'k'")
     if k < 1:
         raise ValueError(f"multimachine_k_bounded requires k >= 1, got {k}")
     return iterated_assignment(
@@ -106,22 +78,15 @@ def multimachine_k_bounded(
     )
 
 
-def multimachine_nonpreemptive(jobs: JobSet, *args, machines: Optional[int] = None) -> MultiMachineSchedule:
-    """k = 0 on multiple machines (Section 5's closing remark).
-
-    ``machines`` is keyword-only; the legacy positional form still works
-    but emits a :class:`DeprecationWarning`.
-    """
-    machines = take_deprecated_positional(
-        "multimachine_nonpreemptive", "machines", args, machines, required=False, default=1
-    )
+def multimachine_nonpreemptive(jobs: JobSet, *, machines: int = 1) -> MultiMachineSchedule:
+    """k = 0 on multiple machines (Section 5's closing remark)."""
     return iterated_assignment(jobs, nonpreemptive_combined, machines=machines)
 
 
 def reduce_multimachine_schedule(
     schedule: MultiMachineSchedule,
-    *args,
-    k: Optional[int] = None,
+    *,
+    k: int,
 ) -> MultiMachineSchedule:
     """The §4.1 remark, verbatim: reduce a non-migrative multi-machine
     ∞-preemptive schedule to a k-bounded one via a *single merged forest*.
@@ -134,11 +99,7 @@ def reduce_multimachine_schedule(
 
     Theorem 4.2 then applies with the merged forest's ``n``: the result
     keeps at least ``1/log_{k+1} n`` of the input schedule's value.
-
-    ``k`` is keyword-only; the legacy positional form still works but emits
-    a :class:`DeprecationWarning`.
     """
-    k = take_deprecated_positional("reduce_multimachine_schedule", "k", args, k)
     from repro.core.bas.forest import Forest
     from repro.core.bas.subforest import SubForest
     from repro.core.bas.tm import tm_optimal_bas
@@ -195,20 +156,14 @@ def reduce_multimachine_schedule(
     return MultiMachineSchedule(schedule.jobs, out_machines)
 
 
-def multimachine_opt_infty(jobs: JobSet, *args, machines: Optional[int] = None) -> MultiMachineSchedule:
+def multimachine_opt_infty(jobs: JobSet, *, machines: int = 1) -> MultiMachineSchedule:
     """A strong ∞-preemptive multi-machine benchmark value.
 
     Exact multi-machine OPT is NP-hard even to approximate cheaply; the
     paper compares against the iterated single-machine optimum (the
     ``(2+ε)``-approximation route of Section 1.2), which is what we build:
     each machine takes the best EDF-feasible subset of the residual jobs.
-
-    ``machines`` is keyword-only; the legacy positional form still works
-    but emits a :class:`DeprecationWarning`.
     """
-    machines = take_deprecated_positional(
-        "multimachine_opt_infty", "machines", args, machines, required=False, default=1
-    )
 
     def single(js: JobSet) -> Schedule:
         if js.n == 0:

@@ -4,8 +4,8 @@ Requests hash-shard by canonical instance key across a fleet of
 :class:`~repro.serve.SolverService` worker processes, with admission
 control, 429-backpressure, per-tenant token-bucket quotas, one direct
 ``solve`` op per admitted request, supervised shard restart
-(:mod:`~repro.gateway.supervisor`) and a choice of mod-N or
-consistent-hash-ring routing (:mod:`~repro.gateway.routing`).  Wire
+(:mod:`~repro.gateway.supervisor`) and consistent-hash-ring routing
+(:mod:`~repro.gateway.routing`).  Wire
 format is ``repro-wire/1`` (:class:`repro.api.SolveRequest` /
 :class:`repro.api.SolveResult`).  See ``docs/GATEWAY.md``.
 """
@@ -17,7 +17,6 @@ from repro.gateway.routing import (
     TokenBucket,
     ring_movement,
     ring_shard_for_key,
-    shard_for_key,
 )
 from repro.gateway.shard import InlineShard, ProcessShard, ShardError, ShardLink
 from repro.gateway.supervisor import ShardIncident, ShardSupervisor
@@ -35,5 +34,4 @@ __all__ = [
     "TokenBucket",
     "ring_movement",
     "ring_shard_for_key",
-    "shard_for_key",
 ]

@@ -13,7 +13,8 @@ Phases:
    warmup responses double as the oracle sample: each value is compared
    against a direct :func:`repro.api.solve_k_bounded` call
    (``disagreements`` must be 0) and each response's ``shard`` against
-   the active routing function (``route_mismatches`` must be 0).
+   an independently built :class:`~repro.gateway.routing.HashRing`
+   (``route_mismatches`` must be 0).
 2. **client comparison** — a short sequential cache-hit phase timed both
    over fresh connect-per-request sockets and over the keep-alive
    :class:`ConnectionPool`, so the payload records what pooling buys
@@ -44,7 +45,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api import SolveRequest, SolveResult, solve_k_bounded
 from repro.gateway.core import Gateway
-from repro.gateway.routing import HashRing, shard_for_key
+from repro.gateway.routing import HashRing
 from repro.utils import faults
 
 __all__ = ["ConnectionPool", "run_gateway_bench"]
@@ -235,8 +236,8 @@ def _quantile(sorted_values: List[float], q: float) -> float:
 def _build_corpus(corpus: int, n: int, seed: int, shards: int, route):
     """Seeded corpus of (SolveRequest, wire doc), covering every shard.
 
-    ``route`` is the canonical-key -> shard function of the active
-    routing mode, so coverage holds under both mod-N and the ring.
+    ``route`` is the canonical-key -> shard function the coverage is
+    checked against.
     """
     from repro.instances import random_jobs
 
@@ -277,7 +278,6 @@ async def _run_bench(
     inline: bool,
     max_inflight_per_shard: int,
     workers: int,
-    routing: str,
     chaos: bool,
 ) -> Dict[str, Any]:
     if chaos and inline:
@@ -302,14 +302,9 @@ async def _run_bench(
         max_inflight_per_shard=max_inflight_per_shard,
         service_kwargs={"workers": workers},
         shard_factory=factory,
-        routing=routing,
         supervisor_kwargs=supervisor_kwargs,
     )
-    if routing == "ring":
-        ring = HashRing(shards)
-        route = ring.shard_for
-    else:
-        route = lambda key: shard_for_key(key, shards)
+    route = HashRing(shards).shard_for
     await gateway.start()
     host, port = "127.0.0.1", gateway.port
     pool = ConnectionPool(host, port)
@@ -444,7 +439,6 @@ async def _run_bench(
             "n": n,
             "seed": seed,
             "inline": inline,
-            "routing": routing,
             "chaos": chaos,
         },
         "sent": total,
@@ -500,7 +494,6 @@ def run_gateway_bench(
     inline: bool = False,
     max_inflight_per_shard: int = 64,
     workers: int = 2,
-    routing: str = "mod",
     chaos: bool = False,
 ) -> Dict[str, Any]:
     """Start a gateway fleet, drive it open-loop, return the bench payload."""
@@ -515,7 +508,6 @@ def run_gateway_bench(
             inline=inline,
             max_inflight_per_shard=max_inflight_per_shard,
             workers=workers,
-            routing=routing,
             chaos=chaos,
         )
     )

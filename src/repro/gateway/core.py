@@ -4,10 +4,10 @@
 (:func:`asyncio.start_server`, hand-rolled request parsing — no heavy
 deps) that:
 
-* **shards** every ``POST /v1/solve`` by the instance's canonical key
-  (:func:`~repro.gateway.routing.shard_for_key`), so the same canonical
-  instance always lands on the same :class:`~repro.serve.SolverService`
-  and its cache;
+* **shards** every ``POST /v1/solve`` by the instance's canonical key on
+  a consistent-hash ring (:class:`~repro.gateway.routing.HashRing`), so
+  the same canonical instance always lands on the same
+  :class:`~repro.serve.SolverService` and its cache;
 * **admits** under a per-shard in-flight bound — saturation answers
   ``429`` with ``Retry-After`` instead of queueing unboundedly
   (backpressure, not buffering);
@@ -38,13 +38,18 @@ import os
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api import WIRE_FORMAT, SolveRequest
-from repro.gateway.routing import HashRing, QuotaManager, ring_movement, shard_for_key
+from repro.gateway.routing import HashRing, QuotaManager, ring_movement
 from repro.gateway.shard import ProcessShard, ShardError
 from repro.gateway.supervisor import ShardSupervisor
 from repro.obs.tracer import current_tracer
 from repro.serve.service import ServiceStats
 
 __all__ = ["Gateway"]
+
+#: Largest request body the HTTP layer reads; a longer ``Content-Length``
+#: is answered 413 without reading the body.  A ``repro-wire/1`` request at
+#: the exact solver's n = 30 frontier is a few kilobytes.
+MAX_BODY_BYTES = 1 << 20
 
 _COUNTERS = (
     "admitted",
@@ -101,8 +106,6 @@ class Gateway:
         quota_rate: Optional[float] = None,
         quota_burst: Optional[float] = None,
         saturation_retry_after_s: float = 1.0,
-        routing: str = "mod",
-        ring_vnodes: int = 64,
         supervise: bool = True,
         supervisor_kwargs: Optional[Dict[str, Any]] = None,
         failover_retry_s: float = 3.0,
@@ -123,8 +126,6 @@ class Gateway:
             raise ValueError(
                 f"saturation_retry_after_s must be > 0, got {saturation_retry_after_s}"
             )
-        if routing not in ("mod", "ring"):
-            raise ValueError(f"routing must be 'mod' or 'ring', got {routing!r}")
         if failover_retry_s < 0:
             raise ValueError(
                 f"failover_retry_s must be >= 0, got {failover_retry_s}"
@@ -139,11 +140,7 @@ class Gateway:
         self._port = port
         self._max_inflight = max_inflight_per_shard
         self._saturation_retry_after_s = saturation_retry_after_s
-        self._routing = routing
-        self._ring_vnodes = ring_vnodes
-        self._ring: Optional[HashRing] = (
-            HashRing(shards, vnodes=ring_vnodes) if routing == "ring" else None
-        )
+        self._ring = HashRing(shards)
         self._failover_retry_s = failover_retry_s
         self._failover_retry_after_s = failover_retry_after_s
         quota_kwargs = {} if clock is None else {"clock": clock}
@@ -311,28 +308,20 @@ class Gateway:
 
     # -- request routing ------------------------------------------------------
 
-    @property
-    def routing(self) -> str:
-        return self._routing
-
     def shard_for(self, request: SolveRequest) -> int:
         """The shard index that will serve this request (deterministic)."""
         return self.shard_for_canonical_key(request.canonical_key())
 
     def shard_for_canonical_key(self, canonical_key: str) -> int:
-        if self._ring is not None:
-            return self._ring.shard_for(canonical_key)
-        return shard_for_key(canonical_key, self._n_shards)
+        return self._ring.shard_for(canonical_key)
 
     async def reshard(self, new_shards: int) -> Dict[str, Any]:
         """Grow or shrink the live fleet to ``new_shards`` shards.
 
-        Under ``routing="ring"`` only the key arcs captured (or released)
-        by the changed shard move — ``gateway.ring_moves`` counts the
-        relocated virtual-node arcs and the returned report carries the
-        exact ``moved_fraction`` of the key space.  Under ``routing="mod"``
-        nearly the whole key space relocates; the report says so honestly
-        (``moved_fraction`` is None — mod-N gives no movement bound).
+        Only the key arcs captured (or released) by the changed shards
+        move — ``gateway.ring_moves`` counts the relocated virtual-node
+        arcs and the returned report carries the exact ``moved_fraction``
+        of the key space.
 
         New shards come from the same factory (so ``store_dir`` fleets
         mount ``shard-NN`` stores for the new indices); removed shards
@@ -354,14 +343,11 @@ class Gateway:
             event = asyncio.Event()
             event.set()
             self._recovered.append(event)
-        moved_arcs = 0
-        moved_fraction: Optional[float] = None
-        if self._ring is not None:
-            new_ring = HashRing(new_shards, vnodes=self._ring_vnodes)
-            moved_arcs, moved_fraction = ring_movement(self._ring, new_ring)
-            self._ring = new_ring
-            if moved_arcs:
-                self._count("ring_moves", moved_arcs)
+        new_ring = HashRing(new_shards)
+        moved_arcs, moved_fraction = ring_movement(self._ring, new_ring)
+        self._ring = new_ring
+        if moved_arcs:
+            self._count("ring_moves", moved_arcs)
         self._n_shards = new_shards
         # Shrink: routing no longer reaches the dropped indices; stop them.
         if new_shards < old_n:
@@ -488,7 +474,6 @@ class Gateway:
         payload = {
             "format": WIRE_FORMAT,
             "kind": "gateway_stats",
-            "routing": self._routing,
             "shards": per_shard,
             "fleet": total.as_dict(),
             "gateway": dict(self.counters),
@@ -544,7 +529,11 @@ class Gateway:
                         break
                     name, _, value = line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", "0") or "0")
+                length, rejection = _content_length(headers)
+                if rejection is not None:
+                    status, payload = rejection
+                    await _write_response(writer, status, payload, {}, False)
+                    break
                 body = await reader.readexactly(length) if length else b""
                 status, payload, extra = await self._route(method, path, headers, body)
                 keep_alive = headers.get("connection", "keep-alive").lower() != "close"
@@ -567,10 +556,28 @@ class Gateway:
             pass
 
 
+def _content_length(
+    headers: Dict[str, str]
+) -> Tuple[int, Optional[Tuple[int, Dict[str, Any]]]]:
+    """The request body's length, or the ``(status, payload)`` rejecting it.
+
+    HTTP allows only ASCII digits here; anything else is a 400, and a
+    length above :data:`MAX_BODY_BYTES` is a 413.
+    """
+    raw = headers.get("content-length", "") or "0"
+    if not (raw.isascii() and raw.isdigit()):
+        return 0, (400, {"error": f"malformed Content-Length: {raw[:32]!r}"})
+    # The digit-count test keeps int() away from arbitrarily long strings.
+    if len(raw.lstrip("0")) > len(str(MAX_BODY_BYTES)) or int(raw) > MAX_BODY_BYTES:
+        return 0, (413, {"error": f"request body exceeds {MAX_BODY_BYTES} bytes"})
+    return int(raw), None
+
+
 _STATUS_TEXT = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
+    413: "Content Too Large",
     429: "Too Many Requests",
     502: "Bad Gateway",
     503: "Service Unavailable",

@@ -8,20 +8,14 @@ re-typed copies of an instance therefore always hit the same shard, and
 that shard's cache, so the fleet behaves like one big cache partitioned
 by key space (no cross-shard duplication of hot entries).
 
-Two routing modes share that key space:
-
-* **mod** (:func:`shard_for_key`) — the first 64 bits of the hex digest
-  modulo the shard count.  Perfectly balanced, but growing the fleet
-  from N to N+1 shards relocates ~N/(N+1) of all keys (a full cache
-  flush);
-* **ring** (:class:`HashRing` / :func:`ring_shard_for_key`) — a
-  consistent-hash ring of virtual nodes: each shard owns ``vnodes``
-  pseudo-random points on the 64-bit circle (SHA-256 of
-  ``repro-ring/<shard>/<vnode>``, so placement is deterministic across
-  processes and runs), and a key belongs to the first point at or after
-  its own 64-bit position.  Adding a shard moves only the arcs the new
-  shard's points capture — ~1/(N+1) of the key space — so a fleet can
-  grow without flushing every shard's cache.
+The key space is partitioned by a consistent-hash ring of virtual nodes
+(:class:`HashRing` / :func:`ring_shard_for_key`): each shard owns
+``vnodes`` pseudo-random points on the 64-bit circle (SHA-256 of
+``repro-ring/<shard>/<vnode>``, so placement is deterministic across
+processes and runs), and a key belongs to the first point at or after
+the first 64 bits of its hex digest.  Adding a shard moves only the arcs
+the new shard's points capture — ~1/(N+1) of the key space — so a fleet
+can grow without flushing every shard's cache.
 
 Quotas are classic token buckets, one per tenant, with an injectable
 clock so tests never sleep.
@@ -35,7 +29,6 @@ import time
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
-    "shard_for_key",
     "ring_shard_for_key",
     "HashRing",
     "ring_movement",
@@ -44,25 +37,11 @@ __all__ = [
 ]
 
 
-def shard_for_key(canonical_key: str, shards: int) -> int:
-    """The shard index owning a canonical instance key.
-
-    Deterministic in the key alone: the first 64 bits of the hex digest,
-    modulo the shard count.  The digest is already uniform, so this is an
-    even partition without any extra mixing.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if len(canonical_key) < 16:
-        raise ValueError(f"canonical key too short: {canonical_key!r}")
-    return int(canonical_key[:16], 16) % shards
-
-
 _RING_SPACE = 1 << 64
 
 
 def _key_point(canonical_key: str) -> int:
-    """A key's position on the 64-bit ring: the same prefix mod-N uses."""
+    """A key's position on the 64-bit ring: its digest's first 64 bits."""
     if len(canonical_key) < 16:
         raise ValueError(f"canonical key too short: {canonical_key!r}")
     return int(canonical_key[:16], 16)

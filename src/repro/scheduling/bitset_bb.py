@@ -29,21 +29,11 @@ machinery that makes n ≈ 30 routine:
 * **greedy incumbent** — density-order admission seeds ``best`` before
   the first node, so the bounds bite immediately.
 
-Two engines implement the same search:
-
-* :func:`_search_python` — the generic reference.  Handles int, Fraction
-  and float coordinates (floats use the tolerant comparisons of
-  :mod:`repro.utils.numeric`, mirroring the EDF oracle's semantics; the
-  fractional bound is only armed for exact instances, where pruning
-  decisions cannot be perturbed by round-off);
-* :func:`_kernel_search` — an iterative int64/numpy formulation of the
-  identical tree walk, written to compile under ``numba.njit`` when numba
-  is importable (auto-dispatch mirrors :mod:`repro.core.bas.tm`: the
-  kernel takes over for large fully-integral instances, and without numba
-  the pure-python execution of the same function remains the fallback).
-  Both engines always agree on the optimal *value* — the search is exact
-  either way — though they may materialise different optimal subsets when
-  the optimum is not unique.
+The search (:func:`_search`) handles int, Fraction and float coordinates:
+floats use the tolerant comparisons of :mod:`repro.utils.numeric`,
+mirroring the EDF oracle's semantics, and the fractional bound is only
+armed for exact instances, where pruning decisions cannot be perturbed by
+round-off.
 
 :func:`bitset_solve` is the entry point; :mod:`repro.scheduling.exact`
 wraps it with caching, tracing and the public ``Schedule`` contract.
@@ -53,34 +43,17 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Tuple
 
 from repro.scheduling.job import JobSet
 from repro.utils.numeric import is_exact, leq
 
-__all__ = ["BitsetResult", "bitset_solve", "available_engines"]
+__all__ = ["BitsetResult", "bitset_solve"]
 
-#: Auto-dispatch threshold: below this the generic python search is already
-#: sub-millisecond and the kernel's array setup is pure overhead (same
-#: pattern as ``tm._VECTORIZE_MIN_NODES``).
-_KERNEL_MIN_JOBS = 18
-
-#: Per-depth capacity of the kernel's bounded dominance store (a ring of
-#: (value, capacity-vector) entries scanned linearly — numba-friendly).
-#: Overwriting old entries only weakens pruning, never correctness.
-_KERNEL_DOM_CAP = 24
-
-#: Cap on the python engine's dominance dictionary.  Beyond this the search
+#: Cap on the search's dominance dictionary.  Beyond this the search
 #: keeps consulting existing entries but stops inserting new ones —
 #: bounded memory, identical results.
-_PY_DOM_CAP = 1_000_000
-
-#: int64 safety margin for the kernel: coordinates and value sums must fit
-#: comfortably (masks need bit ``n`` so n <= 62 is also required, which the
-#: ``max_jobs`` guard upstream enforces long before).
-_INT64_COORD_LIMIT = 1 << 40
+_DOM_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -89,17 +62,16 @@ class BitsetResult:
 
     value: object  # int / Fraction / float — the instance's own arithmetic
     ids: Tuple[int, ...]  # chosen job ids (original id space), sorted
-    engine: str  # "python" | "kernel" | "kernel-jit"
     stats: Dict[str, int]  # nodes / pruned_* / infeasible_include
 
 
 class _Prep:
-    """Instance geometry in EDD order, shared by every engine."""
+    """Instance geometry in EDD order."""
 
     __slots__ = (
         "n", "m", "ids", "rho", "lengths", "values", "limits", "suffix_v",
         "suffix_p", "dens", "mr", "span", "releases", "coords_exact",
-        "exact", "int64_ok",
+        "exact",
     )
 
     def __init__(self, jobs: JobSet):
@@ -131,8 +103,8 @@ class _Prep:
             range(n), key=lambda i: (-(self.values[i] / self.lengths[i]), i)
         )
         # mr[i] = max ρ_j over the undecided suffix j >= i: capacity entries
-        # beyond it can never be consulted again, so dominance keys (and the
-        # kernel's pointwise scans) stop there.
+        # beyond it can never be consulted again, so dominance keys stop
+        # there.
         mr = [0] * n
         mx = -1
         for i in range(n - 1, -1, -1):
@@ -144,11 +116,6 @@ class _Prep:
             is_exact(j.release, j.deadline, j.length) for j in order
         )
         self.exact = self.coords_exact and is_exact(*self.values)
-        self.int64_ok = self.exact and all(
-            isinstance(x, int) and abs(x) < _INT64_COORD_LIMIT
-            for j in order
-            for x in (j.release, j.deadline, j.length, j.value)
-        )
 
 
 def _edd_capacity_feasible(prep: _Prep, members: List[int]) -> bool:
@@ -187,8 +154,8 @@ def _greedy_incumbent(prep: _Prep):
     return value, mask
 
 
-def _search_python(prep: _Prep, best_value, best_mask):
-    """Generic recursive engine: exact for int/Fraction, tolerant for floats.
+def _search(prep: _Prep, best_value, best_mask):
+    """The recursive search: exact for int/Fraction, tolerant for floats.
 
     Returns ``(best_value, best_mask, stats)``.  Dominance uses a dict keyed
     on ``(depth, relevant capacity prefix)`` — equal states collapse, and
@@ -247,7 +214,7 @@ def _search_python(prep: _Prep, best_value, best_mask):
                 pruned_dom += 1
                 return
             seen[key] = value
-        elif len(seen) < _PY_DOM_CAP:
+        elif len(seen) < _DOM_CAP:
             seen[key] = value
         ri = rho[i]
         pi = lengths[i]
@@ -279,218 +246,19 @@ def _search_python(prep: _Prep, best_value, best_mask):
     return best_value, best_mask, stats
 
 
-def _kernel_search(
-    n, m, rho, lengths, values, limits, mr,
-    suffix_v, suffix_p, dens, span, best0, mask0, dom_cap,
-):
-    """Iterative int64 engine — the numba-compilable inner kernel.
-
-    The identical EDD include/exclude walk as :func:`_search_python`, with
-    the dict dominance replaced by a bounded per-depth ring of
-    (value, capacity-vector) entries scanned pointwise (a stored state
-    dominates when its value is ≥ and its capacity prefix is ≤ entrywise —
-    strictly stronger than the dict's equality test, still sound).  All
-    arithmetic is int64; the caller guarantees the instance fits.
-
-    Returns ``[best, mask, nodes, pruned_bound, pruned_dom, infeasible]``.
-    """
-    cap = np.zeros(m, np.int64)
-    phase = np.zeros(n + 1, np.int8)  # 0: fresh, 1: in include child, 2: in exclude child
-    dom_val = np.full((n, dom_cap), np.int64(-(1 << 62)), np.int64)
-    dom_vec = np.zeros((n, dom_cap, m), np.int64)
-    dom_len = np.zeros(n, np.int64)
-    dom_ptr = np.zeros(n, np.int64)
-
-    best = best0
-    bmask = mask0
-    value = np.int64(0)
-    mask = np.int64(0)
-    nodes = np.int64(0)
-    pruned_bound = np.int64(0)
-    pruned_dom = np.int64(0)
-    infeasible = np.int64(0)
-    one = np.int64(1)
-
-    i = 0
-    descend = True
-    while i >= 0:
-        if descend:
-            nodes += 1
-            if i == n:
-                if value > best:
-                    best = value
-                    bmask = mask
-                descend = False
-                i -= 1
-                continue
-            pruned = False
-            if value + suffix_v[i] <= best:
-                pruned_bound += 1
-                pruned = True
-            if not pruned:
-                c = span - cap[0]
-                if c < suffix_p[i]:
-                    bound = np.int64(0)
-                    for idx in range(n):
-                        j = dens[idx]
-                        if j < i:
-                            continue
-                        if c <= 0:
-                            break
-                        bound += values[j]
-                        c -= lengths[j]
-                    if value + bound <= best:
-                        pruned_bound += 1
-                        pruned = True
-            if not pruned:
-                mri = mr[i]
-                for e in range(dom_len[i]):
-                    if dom_val[i, e] >= value:
-                        dominated = True
-                        for t in range(mri + 1):
-                            if dom_vec[i, e, t] > cap[t]:
-                                dominated = False
-                                break
-                        if dominated:
-                            pruned_dom += 1
-                            pruned = True
-                            break
-                if not pruned:
-                    slot = dom_ptr[i]
-                    dom_val[i, slot] = value
-                    for t in range(m):
-                        dom_vec[i, slot, t] = cap[t]
-                    dom_ptr[i] = (slot + 1) % dom_cap
-                    if dom_len[i] < dom_cap:
-                        dom_len[i] += 1
-            if pruned:
-                descend = False
-                i -= 1
-                continue
-            ri = rho[i]
-            pi = lengths[i]
-            feasible = True
-            for t in range(ri + 1):
-                if cap[t] + pi > limits[i, t]:
-                    feasible = False
-                    break
-            if feasible:
-                for t in range(ri + 1):
-                    cap[t] += pi
-                value += values[i]
-                mask |= one << i
-                phase[i] = 1
-            else:
-                infeasible += 1
-                phase[i] = 2
-            i += 1
-            descend = True
-        else:
-            if phase[i] == 1:
-                ri = rho[i]
-                pi = lengths[i]
-                for t in range(ri + 1):
-                    cap[t] -= pi
-                value -= values[i]
-                mask &= ~(one << i)
-                phase[i] = 2
-                i += 1
-                descend = True
-            else:
-                phase[i] = 0
-                i -= 1
-    return np.array(
-        [best, bmask, nodes, pruned_bound, pruned_dom, infeasible], np.int64
-    )
-
-
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba
-
-    _kernel_jit = numba.njit(cache=True)(_kernel_search)
-    _HAVE_NUMBA = True
-except Exception:  # numba absent (or broken): same function, uncompiled
-    _kernel_jit = _kernel_search
-    _HAVE_NUMBA = False
-
-
-def available_engines() -> Tuple[str, ...]:
-    """The engines :func:`bitset_solve` accepts (besides ``"auto"``)."""
-    return ("python", "kernel")
-
-
-def _run_kernel(prep: _Prep, best0: int, mask0: int, jit: bool):
-    fn = _kernel_jit if jit else _kernel_search
-    limits = np.zeros((prep.n, prep.m), np.int64)
-    for i in range(prep.n):
-        for t in range(prep.rho[i] + 1):
-            limits[i, t] = prep.limits[i][t]
-    out = fn(
-        prep.n,
-        prep.m,
-        np.asarray(prep.rho, np.int64),
-        np.asarray(prep.lengths, np.int64),
-        np.asarray(prep.values, np.int64),
-        limits,
-        np.asarray(prep.mr, np.int64),
-        np.asarray(prep.suffix_v, np.int64),
-        np.asarray(prep.suffix_p, np.int64),
-        np.asarray(prep.dens, np.int64),
-        np.int64(prep.span),
-        np.int64(best0),
-        np.int64(mask0),
-        np.int64(_KERNEL_DOM_CAP),
-    )
-    best, mask, nodes, pb, pd, inf = (int(x) for x in out)
-    stats = {
-        "nodes": nodes,
-        "pruned_bound": pb,
-        "pruned_dominated": pd,
-        "infeasible_include": inf,
-    }
-    return best, mask, stats
-
-
-def bitset_solve(jobs: JobSet, *, engine: str = "auto") -> BitsetResult:
+def bitset_solve(jobs: JobSet) -> BitsetResult:
     """Exact maximum-value ∞-feasible subset of an *overloaded* instance.
 
-    ``engine`` selects the implementation:
-
-    * ``"auto"`` (default) — the jitted kernel when numba is importable,
-      the instance is fully integral and ``n >= _KERNEL_MIN_JOBS``; the
-      generic python engine otherwise;
-    * ``"python"`` — force the generic engine;
-    * ``"kernel"`` — force the array kernel (jitted iff numba is present;
-      without numba the same function runs uncompiled, which is exactly
-      the bit-identity fallback contract).  Requires an integral instance.
-
-    Both engines return the same optimal value on every instance they both
-    accept; the materialised subset may legitimately differ when the
-    optimum is not unique.
+    The returned subset is one optimum; when the optimum is not unique,
+    which one is materialised is deterministic but unspecified.
     """
-    if engine not in ("auto", "python", "kernel"):
-        raise ValueError(f"unknown engine {engine!r}; use auto, python or kernel")
     prep = _Prep(jobs)
     if prep.n == 0:
-        return BitsetResult(0, (), "python", {
+        return BitsetResult(0, (), {
             "nodes": 0, "pruned_bound": 0, "pruned_dominated": 0,
             "infeasible_include": 0,
         })
     g_value, g_mask = _greedy_incumbent(prep)
-    if engine == "auto":
-        use_kernel = _HAVE_NUMBA and prep.int64_ok and prep.n >= _KERNEL_MIN_JOBS
-    else:
-        use_kernel = engine == "kernel"
-    if use_kernel and not prep.int64_ok:
-        raise ValueError(
-            "the bitset kernel requires integer coordinates and values "
-            f"(|x| < 2^40); got a non-integral instance with n={prep.n}"
-        )
-    if use_kernel:
-        value, mask, stats = _run_kernel(prep, g_value, g_mask, jit=_HAVE_NUMBA)
-        name = "kernel-jit" if _HAVE_NUMBA else "kernel"
-    else:
-        value, mask, stats = _search_python(prep, g_value, g_mask)
-        name = "python"
+    value, mask, stats = _search(prep, g_value, g_mask)
     ids = tuple(sorted(prep.ids[b] for b in range(prep.n) if mask >> b & 1))
-    return BitsetResult(value, ids, name, stats)
+    return BitsetResult(value, ids, stats)

@@ -36,7 +36,6 @@ from repro.scheduling.edf import edf_feasible, edf_feasible_cached, edf_schedule
 from repro.scheduling.job import Job, JobSet
 from repro.scheduling.schedule import Schedule
 from repro.scheduling.segment import Segment, drop_zero_length, merge_touching
-from repro.utils.compat import take_deprecated_positional
 from repro.utils.numeric import is_exact
 
 
@@ -122,7 +121,7 @@ def opt_infty_reference_value(jobs: JobSet, *, max_jobs: int = 18):
 
 @lru_cache(maxsize=2048)
 def _solve_by_key(key):
-    """Cached bitset solve: (value, accepted ids, engine name).
+    """Cached bitset solve: (value, accepted ids).
 
     Shared by :func:`opt_infty_exact` and :func:`opt_infty_value` — a single
     cache entry per frozen instance, so the two can never disagree.  For
@@ -141,12 +140,10 @@ def _solve_by_key(key):
         tracer.count("exact.pruned.bound", stats["pruned_bound"])
         tracer.count("exact.pruned.dominated", stats["pruned_dominated"])
         tracer.count("exact.pruned.infeasible", stats["infeasible_include"])
-        tracer.count(f"exact.dispatch.{result.engine}")
     if result.ids and not is_exact(*(x for j in jobs for x in (j.release, j.deadline, j.length))):
         if not edf_feasible(jobs.subset(result.ids)):  # pragma: no cover - tolerance edge
-            value, ids = _branch_and_bound(jobs)
-            return value, ids, "legacy-fallback"
-    return result.value, result.ids, result.engine
+            return _branch_and_bound(jobs)
+    return result.value, result.ids
 
 
 def _opt_infty_solve(jobs: JobSet, max_jobs: int):
@@ -165,15 +162,13 @@ def _opt_infty_solve(jobs: JobSet, max_jobs: int):
             tracer.count("exact.fast_path")
         return jobs.total_value, tuple(sorted(jobs.ids))
     if tracer is None:
-        value, ids, _engine = _solve_by_key(_solve_key(jobs))
-        return value, ids
+        return _solve_by_key(_solve_key(jobs))
     bb_before = _solve_by_key.cache_info()
     with tracer.span("exact.opt_infty", n=jobs.n) as s:
-        value, ids, engine = _solve_by_key(_solve_key(jobs))
+        value, ids = _solve_by_key(_solve_key(jobs))
         bb_after = _solve_by_key.cache_info()
         s.attrs["accepted"] = len(ids)
         s.attrs["solve_cached"] = bb_after.hits > bb_before.hits
-        s.attrs["engine"] = engine
     return value, ids
 
 
@@ -272,8 +267,8 @@ def _require_integral(jobs: JobSet) -> None:
 
 def k_feasible_subset_small(
     jobs: JobSet,
-    *args,
-    k: Optional[int] = None,
+    *,
+    k: int,
     max_slots: int = 40,
 ) -> Optional[Schedule]:
     """Decide whether *all* given jobs fit in a k-preemptive schedule.
@@ -285,11 +280,7 @@ def k_feasible_subset_small(
 
     Exponential — intended for instances with horizon ≤ ``max_slots`` and a
     handful of jobs, as an oracle for tests and micro-benchmarks.
-
-    ``k`` is keyword-only; the legacy positional form still works but emits
-    a :class:`DeprecationWarning`.
     """
-    k = take_deprecated_positional("k_feasible_subset_small", "k", args, k)
     _require_integral(jobs)
     ordered = sorted(jobs, key=lambda j: (j.release, j.id))
     if not ordered:
@@ -360,8 +351,8 @@ def k_feasible_subset_small(
 
 def opt_k_exact_small(
     jobs: JobSet,
-    *args,
-    k: Optional[int] = None,
+    *,
+    k: int,
     max_slots: int = 40,
     max_jobs: int = 10,
 ) -> Schedule:
@@ -371,11 +362,7 @@ def opt_k_exact_small(
     bound) and certifies each candidate with the unit-slot feasibility DFS.
     Used by the tests to sandwich the pipeline (``ALG_k <= OPT_k <= OPT_∞``)
     and by the k = 0 experiments on the geometric chain.
-
-    ``k`` is keyword-only; the legacy positional form still works but emits
-    a :class:`DeprecationWarning`.
     """
-    k = take_deprecated_positional("opt_k_exact_small", "k", args, k)
     _require_integral(jobs)
     if jobs.n > max_jobs:
         raise ValueError(f"opt_k_exact_small limited to {max_jobs} jobs, got {jobs.n}")

@@ -32,11 +32,8 @@ The API is synchronous-friendly and takes one value object per request:
 :meth:`SolverService.submit` accepts a single
 :class:`repro.api.SolveRequest` and returns a
 :class:`concurrent.futures.Future` resolving to a
-:class:`~repro.api.SolveResult`; :meth:`SolverService.solve` blocks.  The
-legacy ``(jobs, k, machines=…, method=…, deadline_ms=…)`` spellings keep
-working for one deprecation cycle through
-:func:`repro.utils.compat.warn_legacy_request` shims (one warning per
-call).  Execution is concurrent on a bounded worker pool.  Failed solves
+:class:`~repro.api.SolveResult`; :meth:`SolverService.solve` blocks.
+Execution is concurrent on a bounded worker pool.  Failed solves
 are retried once before the failure (or the degraded fallback, when a
 deadline is set) is surfaced.
 
@@ -64,7 +61,6 @@ from repro.api import SolveRequest, SolveResult, solve_k_bounded, solve_k_bounde
 from repro.obs.tracer import Tracer, current_tracer
 from repro.scheduling.job import JobSet
 from repro.serve.cache import LruCache
-from repro.utils.compat import warn_legacy_request
 
 __all__ = ["ServiceStats", "SolverService", "ServiceClosed"]
 
@@ -96,9 +92,6 @@ class ServiceStats:
     can aggregate a whole fleet's stats without string-key drift:
     :meth:`aggregate` sums snapshots field by field.  ``cache_size`` and
     ``inflight`` are occupancy gauges, everything else is monotonic.
-
-    Dict-style access (``stats["hits"]``) and :meth:`as_dict` keep the
-    historical call sites working verbatim.
     """
 
     requests: int = 0
@@ -119,16 +112,8 @@ class ServiceStats:
     inflight: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        """The plain-dict form (JSON payloads, legacy callers)."""
+        """The plain-dict form (JSON payloads)."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def __getitem__(self, name: str) -> int:
-        if name not in self.__dataclass_fields__:
-            raise KeyError(name)
-        return getattr(self, name)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self.__dataclass_fields__
 
     @classmethod
     def aggregate(cls, snapshots: Iterable["ServiceStats"]) -> "ServiceStats":
@@ -145,14 +130,23 @@ class ServiceClosed(RuntimeError):
     """Raised by :meth:`SolverService.submit` after :meth:`shutdown`."""
 
 
+def _require_request(fn_name: str, request) -> SolveRequest:
+    if not isinstance(request, SolveRequest):
+        raise TypeError(
+            f"SolverService.{fn_name}() expects a repro.api.SolveRequest, "
+            f"got {type(request).__name__}"
+        )
+    return request
+
+
 class SolverService:
     """Concurrently-executing, caching, coalescing facade over the solvers.
 
     ``workers`` bounds the solve concurrency; ``cache_size`` bounds the LRU
-    result cache; ``deadline_ms`` is a default per-request budget (each
-    :meth:`submit` may override it).  ``tracer`` defaults to the tracer
-    active at construction time — pass one explicitly to collect service
-    spans without activating a context tracer.  ``solve_fn`` exists for
+    result cache; ``deadline_ms`` is a default per-request budget (a
+    request's own ``deadline_ms`` overrides it).  ``tracer`` defaults to
+    the tracer active at construction time — pass one explicitly to
+    collect service spans without activating a context tracer.  ``solve_fn`` exists for
     tests (fault windows, slow solves); production callers never set it.
 
     ``store`` mounts an existing :class:`repro.store.ResultStore` as the
@@ -235,83 +229,9 @@ class SolverService:
         if self._owns_store and self._store is not None:
             self._store.close()
 
-    # -- request coercion (the SolveRequest redesign + legacy shims) ----------
-
-    def _coerce_request(
-        self,
-        fn_name: str,
-        request,
-        k,
-        machines,
-        method,
-        deadline_ms,
-    ) -> SolveRequest:
-        """One :class:`SolveRequest` from either calling convention.
-
-        The redesigned surface takes a single ``SolveRequest``; the legacy
-        ``(jobs, k, machines=…, method=…, deadline_ms=…)`` spelling keeps
-        working for one deprecation cycle and warns exactly once per call.
-        Mixing the two spellings is a ``TypeError``.
-        """
-        if isinstance(request, SolveRequest):
-            if k is not None or machines is not None or method is not None \
-                    or deadline_ms is not None:
-                raise TypeError(
-                    f"SolverService.{fn_name}() takes no extra arguments "
-                    f"when given a SolveRequest — set them on the request"
-                )
-            return request
-        if k is None:
-            raise TypeError(
-                f"SolverService.{fn_name}() expects a SolveRequest "
-                f"(or the deprecated (jobs, k, ...) form)"
-            )
-        warn_legacy_request(f"SolverService.{fn_name}")
-        return SolveRequest(
-            jobs=request,
-            k=k,
-            machines=1 if machines is None else machines,
-            method="auto" if method is None else method,
-            deadline_ms=deadline_ms,
-        )
-
-    def _coerce_batch(self, fn_name: str, requests, machines, method) -> List[SolveRequest]:
-        """A list of :class:`SolveRequest` from either batch convention."""
-        items = list(requests)
-        if all(isinstance(item, SolveRequest) for item in items):
-            if items and (machines is not None or method is not None):
-                raise TypeError(
-                    f"SolverService.{fn_name}() takes no machines/method "
-                    f"arguments when given SolveRequests — set them on the requests"
-                )
-            return items
-        if any(isinstance(item, SolveRequest) for item in items):
-            raise TypeError(
-                f"SolverService.{fn_name}() got a mix of SolveRequests and "
-                f"legacy (jobs, k) tuples"
-            )
-        warn_legacy_request(f"SolverService.{fn_name}")
-        return [
-            SolveRequest(
-                jobs=jobs,
-                k=k,
-                machines=1 if machines is None else machines,
-                method="auto" if method is None else method,
-            )
-            for jobs, k in items
-        ]
-
     # -- the public surface ---------------------------------------------------
 
-    def submit(
-        self,
-        request,
-        k: Optional[int] = None,
-        *,
-        machines: Optional[int] = None,
-        method: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-    ) -> "Future[SolveResult]":
+    def submit(self, request: SolveRequest) -> "Future[SolveResult]":
         """Enqueue one :class:`SolveRequest`; returns a future of its result.
 
         Cache hits resolve immediately (the result carries
@@ -322,14 +242,8 @@ class SolverService:
         everything else dispatches to the worker pool.  Argument
         validation errors raise here, in the caller's thread — only solver
         failures travel through the future.
-
-        The legacy ``submit(jobs, k, machines=…, method=…, deadline_ms=…)``
-        spelling still works and warns once per call.
         """
-        req = self._coerce_request("submit", request, k, machines, method, deadline_ms)
-        return self._submit_request(req)
-
-    def _submit_request(self, req: SolveRequest) -> "Future[SolveResult]":
+        req = _require_request("submit", request)
         key = req.key()
         deadline_ms = (
             req.deadline_ms if req.deadline_ms is not None else self._default_deadline_ms
@@ -378,25 +292,13 @@ class SolverService:
         return fut
 
     def solve(
-        self,
-        request,
-        k: Optional[int] = None,
-        *,
-        machines: Optional[int] = None,
-        method: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-        timeout: Optional[float] = None,
+        self, request: SolveRequest, *, timeout: Optional[float] = None
     ) -> SolveResult:
         """Blocking convenience wrapper around :meth:`submit`."""
-        req = self._coerce_request("solve", request, k, machines, method, deadline_ms)
-        return self._submit_request(req).result(timeout=timeout)
+        return self.submit(request).result(timeout=timeout)
 
     def submit_batch(
-        self,
-        requests,
-        *,
-        machines: Optional[int] = None,
-        method: Optional[str] = None,
+        self, requests: Iterable[SolveRequest]
     ) -> "list[Future[SolveResult]]":
         """Enqueue many :class:`SolveRequest`\\ s; returns futures in order.
 
@@ -413,11 +315,8 @@ class SolverService:
         alone — batched solves never degrade and every batched result is
         cacheable).  Batched results are stamped with
         ``metrics["served.batched"]``.
-
-        The legacy ``submit_batch([(jobs, k), …], machines=…, method=…)``
-        spelling still works and warns once per call.
         """
-        reqs = self._coerce_batch("submit_batch", requests, machines, method)
+        reqs = [_require_request("submit_batch", req) for req in requests]
         futures: "list[Optional[Future[SolveResult]]]" = [None] * len(reqs)
         groups: Dict[Tuple[int, int, str], list] = {}
         deadline_indices: List[int] = []
@@ -491,19 +390,14 @@ class SolverService:
                         futs=[fut], keys=[key],
                     )
         for idx in deadline_indices:
-            futures[idx] = self._submit_request(reqs[idx])
+            futures[idx] = self.submit(reqs[idx])
         return futures
 
     def solve_batch(
-        self,
-        requests,
-        *,
-        machines: Optional[int] = None,
-        method: Optional[str] = None,
-        timeout: Optional[float] = None,
+        self, requests: Iterable[SolveRequest], *, timeout: Optional[float] = None
     ) -> "list[SolveResult]":
         """Blocking convenience wrapper around :meth:`submit_batch`."""
-        futures = self.submit_batch(requests, machines=machines, method=method)
+        futures = self.submit_batch(requests)
         return [fut.result(timeout=timeout) for fut in futures]
 
     def _dispatch(self, fn, *args, futs, keys) -> None:
@@ -523,8 +417,7 @@ class SolverService:
     def stats(self) -> ServiceStats:
         """Snapshot of the service counters plus cache/in-flight occupancy.
 
-        Returns a frozen :class:`ServiceStats`; legacy dict-style access
-        (``stats()["hits"]``) still works, and :meth:`ServiceStats.as_dict`
+        Returns a frozen :class:`ServiceStats`; :meth:`ServiceStats.as_dict`
         gives the plain-dict form for JSON payloads.
         """
         with self._lock:

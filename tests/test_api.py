@@ -1,5 +1,5 @@
 """The `repro.api` facade: surface snapshot, behaviour, and the
-deprecation shims on the signatures it standardises.
+keyword-only parameters on the signatures it standardises.
 
 The signature snapshot is deliberately literal — the facade's stability is
 the point, so any drift in exported names, parameter names, kinds or
@@ -217,11 +217,11 @@ def test_opt_infty_value_matches_schedule():
 
 
 # ---------------------------------------------------------------------------
-# deprecation shims on the standardised signatures
+# keyword-only parameters on the standardised signatures
 # ---------------------------------------------------------------------------
 
 
-def test_legacy_positional_forms_warn_but_work():
+def test_positional_forms_are_rejected():
     from repro.core.lsa import lsa, lsa_cs
     from repro.core.multimachine import (
         multimachine_k_bounded,
@@ -231,29 +231,15 @@ def test_legacy_positional_forms_warn_but_work():
 
     lax = random_lax_jobs(10, k=2, seed=1)
     jobs = random_jobs(8, seed=2)
-
-    with pytest.warns(DeprecationWarning):
-        legacy = lsa(lax, 2)
-    assert legacy.value == lsa(lax, k=2).value
-
-    with pytest.warns(DeprecationWarning):
-        legacy = lsa_cs(lax, 2)
-    assert legacy.value == lsa_cs(lax, k=2).value
-
-    with pytest.warns(DeprecationWarning):
-        legacy = multimachine_k_bounded(jobs, 1, 2)
-    assert legacy.value == multimachine_k_bounded(jobs, k=1, machines=2).value
-
-    with pytest.warns(DeprecationWarning):
-        legacy = multimachine_nonpreemptive(jobs, 2)
-    assert legacy.value == multimachine_nonpreemptive(jobs, machines=2).value
-
-    small = repro.make_jobs(
-        [(0, 10, 4, 5.0), (1, 6, 3, 4.0), (2, 9, 2, 2.0)]
-    )  # opt_k_exact_small needs integer coordinates
-    with pytest.warns(DeprecationWarning):
-        legacy = opt_k_exact_small(small, 1)
-    assert legacy.value == opt_k_exact_small(small, k=1).value
+    for call in (
+        lambda: lsa(lax, 2),
+        lambda: lsa_cs(lax, 2),
+        lambda: multimachine_k_bounded(jobs, 1, 2),
+        lambda: multimachine_nonpreemptive(jobs, 2),
+        lambda: opt_k_exact_small(jobs, 1),
+    ):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_keyword_forms_do_not_warn(recwarn):

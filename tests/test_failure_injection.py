@@ -132,7 +132,7 @@ class TestServeFaultInjection:
         assert "serve.drop_cache_entry" in KNOWN_FAULTS
 
     def test_cache_wipe_degrades_but_never_crashes(self):
-        from repro.api import solve_k_bounded
+        from repro.api import SolveRequest, solve_k_bounded
         from repro.instances import random_jobs
         from repro.serve import SolverService
         from repro.utils import faults
@@ -144,23 +144,23 @@ class TestServeFaultInjection:
             with faults.inject("serve.drop_cache_entry"):
                 for _round in range(3):
                     for i, (jobs, k) in enumerate(corpus):
-                        result = svc.solve(jobs, k, timeout=60)
+                        result = svc.solve(SolveRequest(jobs, k), timeout=60)
                         assert result.value == expected[i]
                 armed = svc.stats()
             # Fault disarmed: the next pass repopulates and then hits.
             for i, (jobs, k) in enumerate(corpus):
-                assert svc.solve(jobs, k, timeout=60).value == expected[i]
+                assert svc.solve(SolveRequest(jobs, k), timeout=60).value == expected[i]
             for i, (jobs, k) in enumerate(corpus):
-                assert svc.solve(jobs, k, timeout=60).value == expected[i]
+                assert svc.solve(SolveRequest(jobs, k), timeout=60).value == expected[i]
             recovered = svc.stats()
 
         # Armed: every lookup missed (the wipe), nothing failed.
-        assert armed["hits"] == 0
-        assert armed["misses"] == 12
-        assert armed["errors"] == 0 and armed["degraded"] == 0
+        assert armed.hits == 0
+        assert armed.misses == 12
+        assert armed.errors == 0 and armed.degraded == 0
         # Disarmed: the second post-fault pass was served from cache again.
-        assert recovered["hits"] >= 4
-        assert recovered["errors"] == 0
+        assert recovered.hits >= 4
+        assert recovered.errors == 0
 
     def test_cache_unit_behaviour_under_fault(self):
         from repro.serve import LruCache

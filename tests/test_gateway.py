@@ -22,7 +22,6 @@ from repro.gateway import (
     ShardLink,
     TokenBucket,
     ring_shard_for_key,
-    shard_for_key,
 )
 from repro.gateway.bench import (
     ConnectionPool,
@@ -30,6 +29,7 @@ from repro.gateway.bench import (
     _http_json_full,
     run_gateway_bench,
 )
+from repro.gateway.core import MAX_BODY_BYTES
 from repro.instances import random_jobs
 
 
@@ -58,29 +58,30 @@ class TestRouting:
         for req in _requests(20):
             key = req.canonical_key()
             for shards in (1, 2, 3, 8):
-                first = shard_for_key(key, shards)
+                first = ring_shard_for_key(key, shards)
                 assert 0 <= first < shards
-                assert shard_for_key(key, shards) == first
+                assert HashRing(shards).shard_for(key) == first
 
     def test_permuted_instance_same_shard(self):
         req = _requests(1)[0]
         from repro.scheduling.job import JobSet
 
         twin = SolveRequest(jobs=JobSet(tuple(reversed(req.jobs.jobs))), k=req.k)
-        assert shard_for_key(twin.canonical_key(), 4) == shard_for_key(
+        assert ring_shard_for_key(twin.canonical_key(), 4) == ring_shard_for_key(
             req.canonical_key(), 4
         )
 
     def test_spreads_over_shards(self):
         # 40 random keys over 2 shards: both sides must be populated.
-        assignments = {shard_for_key(r.canonical_key(), 2) for r in _requests(40)}
+        ring = HashRing(2)
+        assignments = {ring.shard_for(r.canonical_key()) for r in _requests(40)}
         assert assignments == {0, 1}
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            shard_for_key("ab" * 16, 0)
+            HashRing(0)
         with pytest.raises(ValueError):
-            shard_for_key("short", 2)
+            ring_shard_for_key("short", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +149,7 @@ class TestGatewayInline:
         outcomes, stats = _run(scenario())
         for req, status, payload, repeat_status, repeat_payload in outcomes:
             assert status == 200 and repeat_status == 200
-            expected = shard_for_key(req.canonical_key(), 2)
+            expected = HashRing(2).shard_for(req.canonical_key())
             assert payload["shard"] == expected
             assert repeat_payload["shard"] == expected
             served = SolveResult.from_wire(payload["result"])
@@ -437,12 +438,11 @@ class TestGatewayInline:
         assert status == 200
         assert payload["format"] == "repro-wire/1"
         assert payload["kind"] == "solve_response"
-        assert payload["shard"] == shard_for_key(req.canonical_key(), 2)
+        assert payload["shard"] == HashRing(2).shard_for(req.canonical_key())
         assert tenant[0] == 200
         assert stats[0] == 200 and stats[1]["fleet"]["requests"] == 2
         for counter in ("shard_restarts", "failovers", "ring_moves"):
             assert stats[1]["gateway"][counter] == 0  # present from day one
-        assert stats[1]["routing"] == "mod"
         assert stats[1]["supervisor"]["running"] is True
         assert health == (200, {"status": "ok", "shards": 2})
         assert missing[0] == 404
@@ -461,6 +461,63 @@ class TestGatewayInline:
                 await shard.stop()
 
         _run(scenario())
+
+
+# ---------------------------------------------------------------------------
+# malformed Content-Length over raw sockets (regression)
+# ---------------------------------------------------------------------------
+
+
+async def _raw_exchange(port, head):
+    """Send raw request bytes; read the reply until the gateway closes."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(head)
+        await writer.drain()
+        return await asyncio.wait_for(reader.read(), 5.0)
+    finally:
+        writer.close()
+
+
+class TestContentLength:
+    """Regression: ``Content-Length: abc`` and ``-5`` crashed the connection
+    handler with an unhandled ``ValueError``, and ``99999999999`` with no
+    body held the connection open with no reply.  Each now gets a typed
+    JSON error and a closed connection, and the gateway keeps serving."""
+
+    @pytest.mark.parametrize(
+        "length, status",
+        [
+            ("abc", 400),
+            ("-5", 400),
+            ("1.5", 400),
+            ("99999999999", 413),
+            (str(MAX_BODY_BYTES + 1), 413),
+            ("9" * 5000, 413),
+        ],
+        ids=["letters", "negative", "fraction", "huge", "cap-plus-one", "5000-digits"],
+    )
+    def test_bad_length_gets_typed_reply_and_close(self, length, status):
+        async def scenario():
+            gateway = Gateway(shards=1, shard_factory=_inline_factory())
+            async with gateway:
+                head = (
+                    f"POST /v1/solve HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+                ).encode()
+                raw = await _raw_exchange(gateway.port, head)
+                after = await _http_json(
+                    "127.0.0.1", gateway.port, "POST", "/v1/solve",
+                    _requests(1)[0].to_wire(),
+                )
+            return raw, after
+
+        raw, after = _run(scenario())
+        head, _, body = raw.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0].split(" ")[1] == str(status)
+        assert "Connection: close" in lines
+        assert "error" in json.loads(body)
+        assert after[0] == 200
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +545,7 @@ class TestGatewayProcessFleet:
         answers, (stats_status, stats_payload) = _run(scenario())
         for req, status, payload in answers:
             assert status == 200
-            assert payload["shard"] == shard_for_key(req.canonical_key(), 2)
+            assert payload["shard"] == HashRing(2).shard_for(req.canonical_key())
             served = SolveResult.from_wire(payload["result"])
             assert served.value == solve_k_bounded(req.jobs, k=req.k).value
         assert stats_status == 200
@@ -593,40 +650,25 @@ class TestRingRouting:
         ring = HashRing(3)
 
         async def scenario():
-            gateway = Gateway(
-                shards=3,
-                routing="ring",
-                shard_factory=_inline_factory(),
-            )
+            gateway = Gateway(shards=3, shard_factory=_inline_factory())
             async with gateway:
                 answers = []
                 for req in _requests(6):
                     status, payload, _ = await gateway.handle_solve(req.to_wire())
                     answers.append((req, status, payload))
-                stats = await gateway.fleet_stats()
-            return answers, stats
+            return answers
 
-        answers, stats = _run(scenario())
-        for req, status, payload in answers:
+        for req, status, payload in _run(scenario()):
             assert status == 200
             assert payload["shard"] == ring.shard_for(req.canonical_key())
             served = SolveResult.from_wire(payload["result"])
             assert served.value == solve_k_bounded(req.jobs, k=req.k).value
-        assert stats["routing"] == "ring"
-
-    def test_rejects_unknown_routing(self):
-        with pytest.raises(ValueError):
-            Gateway(shards=2, routing="rendezvous")
 
     def test_reshard_grow_moves_bounded_fraction_and_keeps_answers(self):
         reqs = _requests(8, seed=300)
 
         async def scenario():
-            gateway = Gateway(
-                shards=2,
-                routing="ring",
-                shard_factory=_inline_factory(),
-            )
+            gateway = Gateway(shards=2, shard_factory=_inline_factory())
             async with gateway:
                 before = [await gateway.handle_solve(r.to_wire()) for r in reqs]
                 report = await gateway.reshard(3)
@@ -637,7 +679,7 @@ class TestRingRouting:
         before, report, after, stats = _run(scenario())
         assert report["shards"] == 3
         # Consistent hashing: growing 2 -> 3 relocates about 1/3 of the
-        # key space, never the ~2/3 mod-N would.
+        # key space, not the ~2/3 a modulo hash would.
         assert 0.0 < report["moved_fraction"] <= 0.5
         assert report["moved_arcs"] > 0
         assert stats["gateway"]["ring_moves"] == report["moved_arcs"]
@@ -651,32 +693,11 @@ class TestRingRouting:
                 == SolveResult.from_wire(p1["result"]).value
             )
 
-    def test_reshard_under_mod_reports_no_movement_bound(self):
-        reqs = _requests(4, seed=320)
-
-        async def scenario():
-            gateway = Gateway(shards=2, shard_factory=_inline_factory())
-            async with gateway:
-                report = await gateway.reshard(3)
-                answers = [await gateway.handle_solve(r.to_wire()) for r in reqs]
-            return report, answers
-
-        report, answers = _run(scenario())
-        assert report["shards"] == 3
-        assert report["moved_fraction"] is None  # mod-N gives no bound
-        for req, (status, payload, _) in zip(reqs, answers):
-            assert status == 200
-            assert payload["shard"] == shard_for_key(req.canonical_key(), 3)
-
     def test_reshard_shrink_keeps_answers(self):
         reqs = _requests(6, seed=340)
 
         async def scenario():
-            gateway = Gateway(
-                shards=3,
-                routing="ring",
-                shard_factory=_inline_factory(),
-            )
+            gateway = Gateway(shards=3, shard_factory=_inline_factory())
             async with gateway:
                 report = await gateway.reshard(2)
                 answers = [await gateway.handle_solve(r.to_wire()) for r in reqs]

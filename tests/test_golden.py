@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import SolveRequest, solve_k_bounded
-from repro.gateway.routing import shard_for_key
+from repro.gateway.routing import ring_shard_for_key
 from repro.scheduling.job import JobSet
 from repro.instances import (
     anti_budget_edf,
@@ -223,8 +223,8 @@ def _wire_all() -> dict:
             "wire": request.to_wire(),
             "request_key": request.key(),
             "canonical_key": request.canonical_key(),
-            "shard_of_2": shard_for_key(request.canonical_key(), 2),
-            "shard_of_4": shard_for_key(request.canonical_key(), 4),
+            "shard_of_2": ring_shard_for_key(request.canonical_key(), 2),
+            "shard_of_4": ring_shard_for_key(request.canonical_key(), 4),
         }
     return out
 
@@ -264,7 +264,7 @@ def test_golden_wire_requests_decode_back():
         request = SolveRequest.from_wire(entry["wire"])
         assert request.key() == entry["request_key"], name
         assert request.canonical_key() == entry["canonical_key"], name
-        assert shard_for_key(request.canonical_key(), 2) == entry["shard_of_2"], name
+        assert ring_shard_for_key(request.canonical_key(), 2) == entry["shard_of_2"], name
 
 
 def test_golden_file_is_sorted_and_complete():

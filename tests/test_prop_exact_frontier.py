@@ -6,9 +6,6 @@ routine and these properties pin its contracts there:
 
 * the materialised schedule is a genuine certificate (re-verified, value
   equal to the reported optimum);
-* the python engine and the array kernel agree exactly (the kernel runs
-  jitted where numba is installed and as the same uncompiled function
-  otherwise — bit-identical either way);
 * the optimum is monotone under adding jobs (prefix instances never beat
   the full instance);
 * on the unit-value derivation, the optimum counts scheduled jobs:
@@ -21,7 +18,6 @@ Examples here are 10–100× bigger than the rest of the property suite, so
 
 from hypothesis import HealthCheck, given, settings
 
-from repro.scheduling.bitset_bb import bitset_solve
 from repro.scheduling.exact import opt_infty_exact, opt_infty_value
 from repro.scheduling.job import Job, JobSet
 from repro.scheduling.verify import verify_schedule
@@ -40,17 +36,6 @@ def test_certificate_reverifies_at_frontier_sizes(jobs):
     sched = opt_infty_exact(jobs)
     verify_schedule(sched).assert_ok()
     assert sched.value == opt_infty_value(jobs)
-
-
-@given(large_jobsets(max_jobs=24))
-@_FRONTIER
-def test_python_and_kernel_engines_bit_identical(jobs):
-    py = bitset_solve(jobs, engine="python")
-    kern = bitset_solve(jobs, engine="kernel")
-    assert py.value == kern.value
-    # Whatever subset each engine materialised must itself be optimal.
-    assert sum(jobs[i].value for i in py.ids) == py.value
-    assert sum(jobs[i].value for i in kern.ids) == kern.value
 
 
 @given(large_jobsets(max_jobs=26))

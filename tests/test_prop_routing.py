@@ -19,12 +19,7 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gateway.routing import (
-    HashRing,
-    ring_movement,
-    ring_shard_for_key,
-    shard_for_key,
-)
+from repro.gateway.routing import HashRing, ring_movement, ring_shard_for_key
 
 #: A fixed 10k-key sample of the canonical-key space (sha256 hex, the
 #: same form `SolveRequest.canonical_key()` produces).
@@ -110,18 +105,14 @@ def test_removing_one_shard_moves_only_its_keys(shards):
             assert ring_small.shard_for(key) == before
 
 
-def test_grow_4_to_5_relocates_under_30_percent_vs_mod_80():
-    """The acceptance gate: ring reshard 4 -> 5 moves ~1/5 of keys where
-    mod-N moves ~4/5 — measured on the same 10k-key sample."""
+def test_grow_4_to_5_relocates_under_30_percent():
+    """The acceptance gate: ring reshard 4 -> 5 moves ~1/5 of keys (a
+    modulo hash would move ~4/5), on the 10k-key sample and exactly."""
     ring4, ring5 = HashRing(4), HashRing(5)
     ring_moved = sum(
         1 for key in KEYS if ring4.shard_for(key) != ring5.shard_for(key)
     )
-    mod_moved = sum(
-        1 for key in KEYS if shard_for_key(key, 4) != shard_for_key(key, 5)
-    )
     assert ring_moved / len(KEYS) <= 0.30
-    assert mod_moved / len(KEYS) >= 0.70  # mod-N reshuffles nearly everything
     _arcs, exact_fraction = ring_movement(ring4, ring5)
     assert exact_fraction <= 0.30
 

@@ -18,7 +18,7 @@ from random import Random
 
 import pytest
 
-from repro.api import request_key, solve_k_bounded
+from repro.api import SolveRequest, request_key, solve_k_bounded
 from repro.instances import random_integral_jobs, random_jobs
 from repro.scheduling.job import Job, JobSet
 from repro.scheduling.verify import verify_schedule
@@ -146,13 +146,17 @@ def _corpus(count: int, n: int = 10, seed: int = 7):
     return [(random_jobs(n, seed=seed + i), 1 + i % 2) for i in range(count)]
 
 
+def _requests(corpus):
+    return [SolveRequest(jobs, k) for jobs, k in corpus]
+
+
 class TestServiceSemantics:
     def test_hit_equals_direct_solve(self):
         jobs, k = _corpus(1)[0]
         direct = solve_k_bounded(jobs, k)
         with SolverService(workers=2) as svc:
-            cold = svc.solve(jobs, k)
-            hit = svc.solve(jobs, k)
+            cold = svc.solve(SolveRequest(jobs, k))
+            hit = svc.solve(SolveRequest(jobs, k))
         assert cold.value == hit.value == direct.value
         assert cold.preemptions_used == direct.preemptions_used
         assert not cold.degraded and not hit.degraded
@@ -163,11 +167,11 @@ class TestServiceSemantics:
         jobs, k = _corpus(1)[0]
         permuted = JobSet(reversed(list(jobs)))
         with SolverService(workers=1) as svc:
-            svc.solve(jobs, k)
-            again = svc.solve(permuted, k)
+            svc.solve(SolveRequest(jobs, k))
+            again = svc.solve(SolveRequest(permuted, k))
             stats = svc.stats()
         assert again.metrics["served.hit"] == 1.0
-        assert stats["hits"] == 1 and stats["misses"] == 1
+        assert stats.hits == 1 and stats.misses == 1
 
     def test_frontier_size_reduction_request_is_cacheable(self):
         """An n = 28 ``method="reduction"`` request is served cold by the
@@ -178,7 +182,6 @@ class TestServiceSemantics:
         schedule; now the cold solve's metrics carry the exact solver's
         node counter, proving the branch-and-bound ran inside the worker.
         """
-        from repro.api import SolveRequest
         from repro.scheduling.exact import clear_exact_caches
 
         clear_exact_caches()
@@ -191,7 +194,7 @@ class TestServiceSemantics:
         assert cold.method == hit.method == "reduction"
         assert cold.value == hit.value > 0
         assert hit.metrics["served.hit"] == 1.0
-        assert stats["hits"] == 1 and stats["misses"] == 1
+        assert stats.hits == 1 and stats.misses == 1
         assert cold.metrics.get("exact.nodes", 0) > 0, (
             "the exact bitset core never ran — the n = 28 request fell "
             "back to greedy admission"
@@ -211,9 +214,9 @@ class TestServiceSemantics:
             return solve_k_bounded(jobs_, k_, machines=machines, method=method, **kw)
 
         with SolverService(workers=2, solve_fn=gated) as svc:
-            futs = [svc.submit(jobs, k) for _ in range(6)]
+            futs = [svc.submit(SolveRequest(jobs, k)) for _ in range(6)]
             assert len({id(f) for f in futs}) == 1
-            assert svc.stats()["coalesced"] == 5
+            assert svc.stats().coalesced == 5
             gate.set()
             done, not_done = wait(futs, timeout=30)
             assert not not_done
@@ -224,10 +227,10 @@ class TestServiceSemantics:
     def test_submission_after_completion_is_a_hit_not_coalesced(self):
         jobs, k = _corpus(1)[0]
         with SolverService(workers=1) as svc:
-            svc.solve(jobs, k)
-            svc.solve(jobs, k)
+            svc.solve(SolveRequest(jobs, k))
+            svc.solve(SolveRequest(jobs, k))
             stats = svc.stats()
-        assert stats["coalesced"] == 0 and stats["hits"] == 1
+        assert stats.coalesced == 0 and stats.hits == 1
 
     def test_retry_once_on_failure(self):
         jobs, k = _corpus(1)[0]
@@ -240,12 +243,12 @@ class TestServiceSemantics:
             return solve_k_bounded(jobs_, k_, machines=machines, method=method, **kw)
 
         with SolverService(workers=1, solve_fn=flaky) as svc:
-            result = svc.solve(jobs, k)
+            result = svc.solve(SolveRequest(jobs, k))
             stats = svc.stats()
         assert len(attempts) == 2
         assert result.value == solve_k_bounded(jobs, k).value
         assert result.metrics["served.retries"] == 1.0
-        assert stats["retries"] == 1 and stats["errors"] == 0
+        assert stats.retries == 1 and stats.errors == 0
 
     def test_persistent_failure_surfaces_after_one_retry(self):
         jobs, k = _corpus(1)[0]
@@ -256,14 +259,14 @@ class TestServiceSemantics:
             raise RuntimeError("permanent")
 
         with SolverService(workers=1, solve_fn=broken) as svc:
-            fut = svc.submit(jobs, k)
+            fut = svc.submit(SolveRequest(jobs, k))
             with pytest.raises(RuntimeError, match="permanent"):
                 fut.result(timeout=30)
             stats = svc.stats()
         assert len(attempts) == 2
-        assert stats["errors"] == 1
+        assert stats.errors == 1
         # A failed request must not poison the cache or the in-flight table.
-        assert stats["cache_size"] == 0 and stats["inflight"] == 0
+        assert stats.cache_size == 0 and stats.inflight == 0
 
     def test_deadline_degrades_to_lsa(self):
         jobs, k = _corpus(1)[0]
@@ -274,12 +277,12 @@ class TestServiceSemantics:
             return solve_k_bounded(jobs_, k_, machines=machines, method=method, **kw)
 
         with SolverService(workers=1, solve_fn=slow_full) as svc:
-            result = svc.solve(jobs, k, deadline_ms=50)
+            result = svc.solve(SolveRequest(jobs, k, deadline_ms=50))
             stats = svc.stats()
         assert result.degraded
         assert result.metrics["served.degraded"] == 1.0
         assert result.metrics["served.timeouts"] == 1.0
-        assert stats["degraded"] == 1 and stats["timeouts"] == 1
+        assert stats.degraded == 1 and stats.timeouts == 1
         # Degraded is still a real, feasible, k-bounded answer.
         verify_schedule(result.schedule, k=k).assert_ok()
         assert result.value <= solve_k_bounded(jobs, k).value
@@ -299,16 +302,16 @@ class TestServiceSemantics:
 
         direct = solve_k_bounded(jobs, k)
         with SolverService(workers=1, solve_fn=slow_once) as svc:
-            degraded = svc.solve(jobs, k, deadline_ms=50)
-            full = svc.solve(jobs, k)  # must NOT be served the degraded entry
-            hit = svc.solve(jobs, k)
+            degraded = svc.solve(SolveRequest(jobs, k, deadline_ms=50))
+            full = svc.solve(SolveRequest(jobs, k))  # must NOT be served the degraded entry
+            hit = svc.solve(SolveRequest(jobs, k))
             stats = svc.stats()
         assert degraded.degraded
         assert not full.degraded and "served.hit" not in full.metrics
         assert full.value == direct.value
         assert full.preemptions_used == direct.preemptions_used
         assert hit.metrics["served.hit"] == 1.0 and not hit.degraded
-        assert stats["misses"] == 2 and stats["hits"] == 1
+        assert stats.misses == 2 and stats.hits == 1
 
     def test_no_deadline_request_does_not_coalesce_onto_deadline_leader(self):
         """A request without a deadline must not ride a deadline-bound
@@ -322,13 +325,13 @@ class TestServiceSemantics:
             return solve_k_bounded(jobs_, k_, machines=machines, method=method, **kw)
 
         with SolverService(workers=2, solve_fn=gated) as svc:
-            leader = svc.submit(jobs, k, deadline_ms=60_000)
-            follower = svc.submit(jobs, k)
-            bounded = svc.submit(jobs, k, deadline_ms=60_000)
+            leader = svc.submit(SolveRequest(jobs, k, deadline_ms=60_000))
+            follower = svc.submit(SolveRequest(jobs, k))
+            bounded = svc.submit(SolveRequest(jobs, k, deadline_ms=60_000))
             assert follower is not leader
             assert bounded is follower  # new leader, deadline-bound rides it
-            assert svc.stats()["misses"] == 2
-            assert svc.stats()["coalesced"] == 1
+            assert svc.stats().misses == 2
+            assert svc.stats().coalesced == 1
             gate.set()
             done, not_done = wait([leader, follower], timeout=30)
             assert not not_done
@@ -337,7 +340,7 @@ class TestServiceSemantics:
         assert not follower.result().degraded
         assert follower.result().value == direct.value
         assert leader.result().value == direct.value
-        assert stats["inflight"] == 0
+        assert stats.inflight == 0
 
     def test_shutdown_race_resolves_future_with_service_closed(self):
         """If shutdown() wins the race between submit's closed-check and the
@@ -348,10 +351,10 @@ class TestServiceSemantics:
         # Close the pool out from under the service while _closed is still
         # False — exactly the window a concurrent shutdown() can hit.
         svc._pool.shutdown(wait=True)
-        fut = svc.submit(jobs, k)
+        fut = svc.submit(SolveRequest(jobs, k))
         with pytest.raises(ServiceClosed):
             fut.result(timeout=10)
-        assert svc.stats()["inflight"] == 0
+        assert svc.stats().inflight == 0
         svc.shutdown()
 
     def test_no_retry_counted_when_budget_already_spent(self, monkeypatch):
@@ -377,12 +380,12 @@ class TestServiceSemantics:
 
         monkeypatch.setattr(service_mod, "time", FakeTime)
         with SolverService(workers=1, solve_fn=failing) as svc:
-            result = svc.solve(jobs, k, deadline_ms=100)
+            result = svc.solve(SolveRequest(jobs, k, deadline_ms=100))
             stats = svc.stats()
         assert len(attempts) == 1  # no second attempt without budget
         assert result.degraded
         assert result.metrics["served.retries"] == 0.0
-        assert stats["retries"] == 0 and stats["degraded"] == 1
+        assert stats.retries == 0 and stats.degraded == 1
 
     def test_error_with_exhausted_budget_counts_error_not_timeout(
         self, monkeypatch
@@ -409,12 +412,12 @@ class TestServiceSemantics:
 
         monkeypatch.setattr(service_mod, "time", FakeTime)
         with SolverService(workers=1, solve_fn=failing) as svc:
-            result = svc.solve(jobs, k, deadline_ms=100)
+            result = svc.solve(SolveRequest(jobs, k, deadline_ms=100))
             stats = svc.stats()
         assert result.degraded
         assert result.metrics["served.errors"] == 1.0
         assert result.metrics["served.timeouts"] == 0.0
-        assert stats["errors"] == 1 and stats["timeouts"] == 0
+        assert stats.errors == 1 and stats.timeouts == 0
 
     def test_exhausted_budget_spawns_no_attempt_thread(self):
         """``_attempt_with_timeout`` with no budget must not start a solve
@@ -443,7 +446,7 @@ class TestServiceSemantics:
     def test_generous_deadline_not_degraded(self):
         jobs, k = _corpus(1)[0]
         with SolverService(workers=1) as svc:
-            result = svc.solve(jobs, k, deadline_ms=60_000)
+            result = svc.solve(SolveRequest(jobs, k, deadline_ms=60_000))
         assert not result.degraded
         assert result.value == solve_k_bounded(jobs, k).value
 
@@ -451,27 +454,27 @@ class TestServiceSemantics:
         corpus = _corpus(4)
         with SolverService(workers=1, cache_size=2) as svc:
             for jobs, k in corpus:
-                svc.solve(jobs, k)
+                svc.solve(SolveRequest(jobs, k))
             stats = svc.stats()
-        assert stats["evictions"] == 2 and stats["cache_size"] == 2
+        assert stats.evictions == 2 and stats.cache_size == 2
 
     def test_submit_validates_in_caller_thread(self):
         jobs, _ = _corpus(1)[0]
         with SolverService(workers=1) as svc:
             with pytest.raises(ValueError):
-                svc.submit(jobs, -1)
+                svc.submit(SolveRequest(jobs, -1))
             with pytest.raises(ValueError):
-                svc.submit(jobs, 1, machines=0)
+                svc.submit(SolveRequest(jobs, 1, machines=0))
             with pytest.raises(ValueError):
-                svc.submit(jobs, 1, method="nope")
-            assert svc.stats()["requests"] == 0
+                svc.submit(SolveRequest(jobs, 1, method="nope"))
+            assert svc.stats().requests == 0
 
     def test_closed_service_rejects_submissions(self):
         jobs, k = _corpus(1)[0]
         svc = SolverService(workers=1)
         svc.shutdown()
         with pytest.raises(ServiceClosed):
-            svc.submit(jobs, k)
+            svc.submit(SolveRequest(jobs, k))
 
     def test_tracer_collects_serve_counters_and_spans(self):
         from repro.obs.tracer import Tracer
@@ -479,8 +482,8 @@ class TestServiceSemantics:
         jobs, k = _corpus(1)[0]
         tracer = Tracer()
         with SolverService(workers=1, tracer=tracer) as svc:
-            svc.solve(jobs, k)
-            svc.solve(jobs, k)
+            svc.solve(SolveRequest(jobs, k))
+            svc.solve(SolveRequest(jobs, k))
         assert tracer.counters["serve.requests"] == 2
         assert tracer.counters["serve.misses"] == 1
         assert tracer.counters["serve.hits"] == 1
@@ -498,7 +501,7 @@ class TestBatchSubmission:
         corpus = _corpus(6)
         direct = [solve_k_bounded(jobs, k) for jobs, k in corpus]
         with SolverService(workers=2) as svc:
-            batch = svc.solve_batch(corpus)
+            batch = svc.solve_batch(_requests(corpus))
             stats = svc.stats()
         for got, want in zip(batch, direct):
             assert got.value == want.value
@@ -506,27 +509,29 @@ class TestBatchSubmission:
             assert got.accepted_ids == want.accepted_ids
             assert not got.degraded
         # Both k-groups (k=1 and k=2, 3 instances each) drained batched.
-        assert stats["batched"] == 6 and stats["misses"] == 6
+        assert stats.batched == 6 and stats.misses == 6
 
     def test_batched_results_are_cached_and_stamped(self):
         corpus = _corpus(4)
         with SolverService(workers=2) as svc:
-            first = svc.solve_batch(corpus)
-            second = svc.solve_batch(corpus)
+            first = svc.solve_batch(_requests(corpus))
+            second = svc.solve_batch(_requests(corpus))
             stats = svc.stats()
         assert all(r.metrics.get("served.batched") == 1.0 for r in first)
         assert all(r.metrics.get("served.hit") == 1.0 for r in second)
-        assert stats["hits"] == 4 and stats["misses"] == 4
+        assert stats.hits == 4 and stats.misses == 4
 
     def test_within_batch_duplicates_coalesce(self):
         jobs, k = _corpus(1)[0]
         other = random_jobs(10, seed=99)
         with SolverService(workers=2) as svc:
-            futs = svc.submit_batch([(jobs, k), (jobs, k), (other, k)])
+            futs = svc.submit_batch(
+                [SolveRequest(jobs, k), SolveRequest(jobs, k), SolveRequest(other, k)]
+            )
             results = [f.result(timeout=60) for f in futs]
             stats = svc.stats()
         assert futs[0] is futs[1]
-        assert stats["coalesced"] == 1 and stats["misses"] == 2
+        assert stats.coalesced == 1 and stats.misses == 2
         assert results[0].value == results[1].value
 
     def test_singleton_groups_dispatch_unbatched(self):
@@ -534,9 +539,9 @@ class TestBatchSubmission:
         # ordinary per-request path, no batched stat.
         corpus = [(random_jobs(10, seed=s), k) for s, k in ((1, 1), (2, 2), (3, 3))]
         with SolverService(workers=2) as svc:
-            results = svc.solve_batch(corpus)
+            results = svc.solve_batch(_requests(corpus))
             stats = svc.stats()
-        assert stats["batched"] == 0 and stats["misses"] == 3
+        assert stats.batched == 0 and stats.misses == 3
         for (jobs, k), got in zip(corpus, results):
             assert got.value == solve_k_bounded(jobs, k).value
 
@@ -548,9 +553,9 @@ class TestBatchSubmission:
             (random_jobs(10, seed=13), 3),
         ]
         with SolverService(workers=2) as svc:
-            results = svc.solve_batch(corpus)
+            results = svc.solve_batch(_requests(corpus))
             stats = svc.stats()
-        assert stats["batched"] == 2
+        assert stats.batched == 2
         for (jobs, k), got in zip(corpus, results):
             assert got.value == solve_k_bounded(jobs, k).value
             verify_schedule(got.schedule, k=k).assert_ok()
@@ -559,10 +564,10 @@ class TestBatchSubmission:
         jobs, _ = _corpus(1)[0]
         with SolverService(workers=1) as svc:
             with pytest.raises(ValueError):
-                svc.submit_batch([(jobs, -1)])
+                svc.submit_batch([SolveRequest(jobs, -1)])
             with pytest.raises(ValueError):
-                svc.submit_batch([(jobs, 1)], machines=0)
-            assert svc.stats()["inflight"] == 0
+                svc.submit_batch([SolveRequest(jobs, 1, machines=0)])
+            assert svc.stats().inflight == 0
 
     def test_batch_failure_retries_once_then_fails_all(self):
         corpus = _corpus(4, seed=31)
@@ -578,7 +583,7 @@ class TestBatchSubmission:
             original = service_mod.solve_k_bounded_batch
             service_mod.solve_k_bounded_batch = boom
             try:
-                futs = svc.submit_batch([(j, 1) for j, _ in corpus])
+                futs = svc.submit_batch([SolveRequest(j, 1) for j, _ in corpus])
                 for fut in futs:
                     with pytest.raises(RuntimeError, match="batch kernel down"):
                         fut.result(timeout=60)
@@ -586,7 +591,7 @@ class TestBatchSubmission:
                 service_mod.solve_k_bounded_batch = original
             stats = svc.stats()
         assert calls == [4, 4]  # one retry of the whole group
-        assert stats["retries"] == 1 and stats["errors"] == 4
+        assert stats.retries == 1 and stats.errors == 4
 
     def test_tracer_counts_batched_requests(self):
         from repro.obs.tracer import Tracer
@@ -594,7 +599,7 @@ class TestBatchSubmission:
         corpus = _corpus(4, seed=41)
         tracer = Tracer()
         with SolverService(workers=2, tracer=tracer) as svc:
-            svc.solve_batch(corpus)
+            svc.solve_batch(_requests(corpus))
         assert tracer.counters["serve.batched"] == 4
         assert tracer.counters["serve.misses"] == 4
 
@@ -641,10 +646,10 @@ def test_stress_concurrent_clients():
                 # Every client opens on corpus[0]: one leader, the rest
                 # coalesce onto its in-flight future.
                 jobs, k = corpus[0]
-                mine.append((request_key(jobs, k), svc.solve(jobs, k, timeout=60)))
+                mine.append((request_key(jobs, k), svc.solve(SolveRequest(jobs, k), timeout=60)))
                 for _ in range(STRESS_REQUESTS_PER_THREAD - 1):
                     jobs, k = corpus[rng.randrange(len(corpus))]
-                    mine.append((request_key(jobs, k), svc.solve(jobs, k, timeout=60)))
+                    mine.append((request_key(jobs, k), svc.solve(SolveRequest(jobs, k), timeout=60)))
             except Exception as exc:  # noqa: BLE001 - reported by the main thread
                 errors.append((tid, exc))
             results[tid] = mine
@@ -663,19 +668,19 @@ def test_stress_concurrent_clients():
         stats = svc.stats()
 
     total = STRESS_THREADS * STRESS_REQUESTS_PER_THREAD
-    assert stats["requests"] == total
-    assert stats["inflight"] == 0
-    assert stats["errors"] == 0 and stats["degraded"] == 0
+    assert stats.requests == total
+    assert stats.inflight == 0
+    assert stats.errors == 0 and stats.degraded == 0
 
     # Cache effectiveness: with 20 unique keys over 3200 requests almost
     # everything must be served from cache.
-    hit_ratio = stats["hits"] / stats["requests"]
+    hit_ratio = stats.hits / stats.requests
     assert hit_ratio > 0.8, f"hit ratio {hit_ratio:.3f} (stats: {stats})"
 
     # Coalescing must actually have happened (the opening pile-up guarantees
     # concurrent duplicates while corpus[0]'s leader is still in flight).
-    assert stats["coalesced"] > 0, f"no coalesced requests (stats: {stats})"
-    assert stats["hits"] + stats["misses"] + stats["coalesced"] == total
+    assert stats.coalesced > 0, f"no coalesced requests (stats: {stats})"
+    assert stats.hits + stats.misses + stats.coalesced == total
 
     # Every answer matches the direct solve and re-verifies its certificate.
     seen_keys = set()
@@ -697,8 +702,7 @@ def test_stress_concurrent_clients():
 
 
 class TestSolveRequestSurface:
-    """The redesigned single-value-object API, and its interplay with the
-    legacy spellings (whose behaviour the rest of this file still pins)."""
+    """The single-value-object API: every entry point takes SolveRequests."""
 
     @pytest.fixture
     def jobs(self):
@@ -706,8 +710,6 @@ class TestSolveRequestSurface:
 
     def test_solve_request_form_is_silent_and_agrees_with_direct(self, jobs):
         import warnings
-
-        from repro.api import SolveRequest
 
         req = SolveRequest(jobs=jobs, k=1)
         with SolverService(workers=1) as svc:
@@ -717,23 +719,17 @@ class TestSolveRequestSurface:
             assert [w for w in caught if issubclass(w.category, DeprecationWarning)] == []
         assert result.value == solve_k_bounded(jobs, 1).value
 
-    def test_request_and_legacy_spellings_share_one_cache_entry(self, jobs):
-        import warnings
-
-        from repro.api import SolveRequest
-
+    def test_non_request_argument_raises(self, jobs):
         with SolverService(workers=1) as svc:
-            svc.solve(SolveRequest(jobs=jobs, k=1))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                legacy = svc.solve(jobs, 1)
-            stats = svc.stats()
-        assert legacy.metrics.get("served.hit")
-        assert (stats["misses"], stats["hits"]) == (1, 1)
+            with pytest.raises(TypeError):
+                svc.submit(jobs)
+            with pytest.raises(TypeError):
+                svc.solve(jobs)
+            with pytest.raises(TypeError):
+                svc.submit_batch([(jobs, 1)])
+            assert svc.stats().requests == 0
 
     def test_extra_args_alongside_request_raise(self, jobs):
-        from repro.api import SolveRequest
-
         req = SolveRequest(jobs=jobs, k=1)
         with SolverService(workers=1) as svc:
             with pytest.raises(TypeError):
@@ -744,15 +740,11 @@ class TestSolveRequestSurface:
                 svc.submit_batch([req], method="combined")
 
     def test_mixed_batch_spellings_raise(self, jobs):
-        from repro.api import SolveRequest
-
         with SolverService(workers=1) as svc:
             with pytest.raises(TypeError):
                 svc.submit_batch([SolveRequest(jobs=jobs, k=1), (jobs, 2)])
 
     def test_batch_of_requests_groups_by_parameters(self):
-        from repro.api import SolveRequest
-
         corpus = [random_jobs(8, seed=900 + i) for i in range(6)]
         reqs = [SolveRequest(jobs=jobs, k=1) for jobs in corpus[:3]]
         reqs += [SolveRequest(jobs=jobs, k=2) for jobs in corpus[3:]]
@@ -764,11 +756,9 @@ class TestSolveRequestSurface:
             assert result.value == solve_k_bounded(req.jobs, req.k).value
             assert result.metrics.get("served.batched")
         # Two (k, machines, method) groups of three, both batched.
-        assert stats["batched"] == 6
+        assert stats.batched == 6
 
     def test_deadline_requests_in_batch_take_single_path(self, jobs):
-        from repro.api import SolveRequest
-
         other = random_jobs(8, seed=950)
         reqs = [
             SolveRequest(jobs=jobs, k=1),
@@ -780,23 +770,14 @@ class TestSolveRequestSurface:
         assert len(results) == 2
         assert results[1].value == solve_k_bounded(other, 1).value
         # The deadline request never joins a batch group.
-        assert stats["batched"] == 0
-        assert stats["misses"] == 2
+        assert stats.batched == 0
+        assert stats.misses == 2
 
     def test_validation_happens_in_request_construction(self, jobs):
-        import warnings
-
-        from repro.api import SolveRequest
-
         with pytest.raises(ValueError):
             SolveRequest(jobs=jobs, k=-1)
-        with SolverService(workers=1) as svc:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                with pytest.raises(ValueError):
-                    svc.submit(jobs, -1)  # legacy path funnels into the same check
-                with pytest.raises(ValueError):
-                    svc.submit(jobs, 1, machines=0)
+        with pytest.raises(ValueError):
+            SolveRequest(jobs=jobs, k=1, machines=0)
 
     def test_service_signature_snapshot(self):
         import inspect
@@ -804,44 +785,30 @@ class TestSolveRequestSurface:
         def names(fn):
             return list(inspect.signature(fn).parameters)
 
-        assert names(SolverService.submit) == [
-            "self", "request", "k", "machines", "method", "deadline_ms",
-        ]
-        assert names(SolverService.solve) == [
-            "self", "request", "k", "machines", "method", "deadline_ms", "timeout",
-        ]
-        assert names(SolverService.submit_batch) == [
-            "self", "requests", "machines", "method",
-        ]
-        assert names(SolverService.solve_batch) == [
-            "self", "requests", "machines", "method", "timeout",
-        ]
-        # Everything after the request object is optional (legacy-only).
-        for fn in (SolverService.submit, SolverService.solve):
-            params = inspect.signature(fn).parameters
-            assert all(
-                p.default is None for name, p in params.items()
-                if name not in ("self", "request", "requests")
-            )
+        assert names(SolverService.submit) == ["self", "request"]
+        assert names(SolverService.solve) == ["self", "request", "timeout"]
+        assert names(SolverService.submit_batch) == ["self", "requests"]
+        assert names(SolverService.solve_batch) == ["self", "requests", "timeout"]
+        for fn in (SolverService.solve, SolverService.solve_batch):
+            timeout = inspect.signature(fn).parameters["timeout"]
+            assert timeout.kind is inspect.Parameter.KEYWORD_ONLY
+            assert timeout.default is None
 
 
 class TestServiceStats:
-    def test_stats_is_a_frozen_dataclass_with_dict_compat(self):
+    def test_stats_is_a_frozen_dataclass(self):
         from dataclasses import FrozenInstanceError
 
         from repro.serve import ServiceStats
 
         jobs = JobSet([Job(0, 0, 10, 3)])
         with SolverService(workers=1) as svc:
-            from repro.api import SolveRequest
-
             svc.solve(SolveRequest(jobs=jobs, k=1))
             stats = svc.stats()
         assert isinstance(stats, ServiceStats)
-        assert stats.requests == 1 and stats["requests"] == 1
-        assert "hits" in stats and "nope" not in stats
-        with pytest.raises(KeyError):
-            stats["nope"]
+        assert stats.requests == 1
+        with pytest.raises(TypeError):
+            stats["requests"]
         with pytest.raises(FrozenInstanceError):
             stats.requests = 5
         as_dict = stats.as_dict()

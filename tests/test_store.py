@@ -236,8 +236,8 @@ class TestServiceTier:
         with SolverService(workers=2, store_path=root) as svc:
             first = [svc.solve(req) for req in reqs]
             stats = svc.stats()
-        assert stats["store_writes"] == len(reqs)
-        assert stats["store_misses"] == len(reqs)
+        assert stats.store_writes == len(reqs)
+        assert stats.store_misses == len(reqs)
         calls = []
         with SolverService(
             workers=2, store_path=root, prewarm=False, solve_fn=_counting_solve(calls)
@@ -245,7 +245,7 @@ class TestServiceTier:
             second = [restarted.solve(req) for req in reqs]
             stats2 = restarted.stats()
         assert calls == []  # nothing re-solved
-        assert stats2["store_hits"] == len(reqs)
+        assert stats2.store_hits == len(reqs)
         for a, b in zip(first, second):
             assert b.metrics["served.store_hit"] == 1.0
             assert _result_bytes(a) == _result_bytes(b)
@@ -272,7 +272,7 @@ class TestServiceTier:
             warm = restarted.solve(req)
             stats = restarted.stats()
         assert calls == []
-        assert stats["store_prewarmed"] >= 1 and stats["hits"] == 1
+        assert stats.store_prewarmed >= 1 and stats.hits == 1
         assert warm.method == "reduction"
         assert warm.value == cold.value
         assert _result_bytes(warm) == _result_bytes(cold)
@@ -287,9 +287,9 @@ class TestServiceTier:
             stats0 = restarted.stats()
             results = [restarted.solve(req) for req in reqs]
             stats = restarted.stats()
-        assert stats0["store_prewarmed"] == len(reqs)
-        assert stats["hits"] == len(reqs)  # LRU hits, no store reads needed
-        assert stats["store_hits"] == 0
+        assert stats0.store_prewarmed == len(reqs)
+        assert stats.hits == len(reqs)  # LRU hits, no store reads needed
+        assert stats.store_hits == 0
         assert all(r.metrics.get("served.hit") == 1.0 for r in results)
 
     def test_degraded_results_never_reach_the_store(self, tmp_path):
@@ -307,7 +307,7 @@ class TestServiceTier:
             result = svc.solve(req)
             stats = svc.stats()
         assert result.degraded
-        assert stats["store_writes"] == 0
+        assert stats.store_writes == 0
         with ResultStore(root) as store:
             assert len(store) == 0
 
@@ -317,7 +317,7 @@ class TestServiceTier:
         with SolverService(workers=2, store_path=root) as svc:
             first = svc.solve_batch(reqs)
             stats = svc.stats()
-        assert stats["store_writes"] == len(reqs)
+        assert stats.store_writes == len(reqs)
         assert all(r.metrics.get("served.batched") == 1.0 for r in first)
         calls = []
         with SolverService(
@@ -326,7 +326,7 @@ class TestServiceTier:
             second = restarted.solve_batch(reqs)
             stats2 = restarted.stats()
         assert calls == []
-        assert stats2["store_hits"] == len(reqs)
+        assert stats2.store_hits == len(reqs)
         for a, b in zip(first, second):
             assert b.metrics.get("served.store_hit") == 1.0
             assert _result_bytes(a) == _result_bytes(b)

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import WIRE_FORMAT, SolveRequest, SolveResult, solve_k_bounded
-from repro.gateway.routing import shard_for_key
+from repro.gateway.routing import ring_shard_for_key
 from repro.scheduling.job import Job, JobSet
 
 from .strategies import jobsets, small_ks
@@ -107,9 +107,9 @@ def test_permuted_retyped_instances_share_canonical_key(jobs, k):
         == original.canonical_key()
     )
     for shards in (1, 2, 3, 7):
-        assert shard_for_key(original.canonical_key(), shards) == shard_for_key(
-            shuffled.canonical_key(), shards
-        )
+        assert ring_shard_for_key(
+            original.canonical_key(), shards
+        ) == ring_shard_for_key(shuffled.canonical_key(), shards)
 
 
 @settings(max_examples=25, deadline=None)
