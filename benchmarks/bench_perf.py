@@ -6,7 +6,7 @@ The machine-readable trajectory (``BENCH_perf.json``) is produced by
 pytest-benchmark and asserts the headline claims:
 
 * ``tm_values_vectorized`` ≥ 5× the reference loop at n = 10^5;
-* the persistent pool's ``run_sweep[workers=4]`` ≥ 3× serial (≥ 1.5× under
+* the persistent executor's ``run_sweep[workers=4]`` ≥ 3× serial (≥ 1.5× under
   ``CI``, where shared runners throttle; skipped below 4 usable cores —
   the speedup is physically bounded by the core count);
 * the cross-instance ``tm_values_batched`` ≥ 2× per-forest vectorized
@@ -68,22 +68,22 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def test_sweep_pool_speedup_gate():
+def test_sweep_parallel_speedup_gate():
     """``run_sweep[workers=4]`` ≥ 3× serial (1.5× on CI's shared runners).
 
-    The pool's speedup is bounded above by the usable core count, so the
+    The parallel speedup is bounded above by the usable core count, so the
     gate only means something with ≥ 4 cores; below that the JSON
     trajectory still records the honest number but nothing is asserted.
     """
     cores = _usable_cores()
     if cores < 4:
-        pytest.skip(f"pool speedup gate needs >= 4 usable cores, have {cores}")
+        pytest.skip(f"parallel sweep speedup gate needs >= 4 usable cores, have {cores}")
     threshold = 1.5 if os.environ.get("CI") else 3.0
     records = bench_sweep_engine(workers_values=(1, 4), reps=3)
     parallel = [r for r in records if r.op == "run_sweep[workers=4]"]
     assert parallel, f"workers=4 record missing: {records}"
     assert parallel[0].speedup_vs_reference >= threshold, (
-        f"pool sweep below the {threshold}x gate: {parallel[0]}"
+        f"parallel sweep below the {threshold}x gate: {parallel[0]}"
     )
 
 

@@ -29,6 +29,9 @@ CellFunction = Callable[..., Mapping[str, float]]
 #: Registered measurement cells (name -> callable taking rng + axis params).
 CELL_REGISTRY: Dict[str, CellFunction] = {}
 
+#: The keys a sweep config may carry; anything else is a typo to reject.
+CONFIG_KEYS = frozenset({"cell", "axes", "repeats", "seed", "workers"})
+
 
 def register_cell(name: str) -> Callable[[CellFunction], CellFunction]:
     """Decorator adding a measurement function to the registry."""
@@ -90,24 +93,6 @@ def _bas_loss_random_batched(
 _bas_loss_random_batched.batch_repeats = True  # type: ignore[attr-defined]
 
 
-@register_cell("bas_loss_corpus")
-def _bas_loss_corpus(rng, k: int = 2, forests: Sequence[Any] = ()) -> Mapping[str, float]:
-    """Mean TM loss factor over a shared forest corpus.
-
-    The corpus arrives via ``run_sweep(..., shared={"forests": [...]})`` —
-    one shared-memory transfer per sweep instead of a pickle per cell —
-    and is solved with one batched kernel pass per cell.  ``rng`` is part
-    of the cell protocol but unused: the corpus is fixed.
-    """
-    from repro.core.bas.tm import tm_optimal_values_batched
-
-    if not forests:
-        raise ValueError("bas_loss_corpus needs shared={'forests': [...]}")
-    values = tm_optimal_values_batched(list(forests), int(k))
-    losses = [float(f.total_value) / float(v) for f, v in zip(forests, values)]
-    return {"loss": sum(losses) / len(losses)}
-
-
 @register_cell("k0_price_random")
 def _k0_price_random(rng, n: int = 30, P: float = 16.0) -> Mapping[str, float]:
     """k = 0 realised price on random instances with controlled P."""
@@ -145,6 +130,9 @@ def load_config(path_or_dict) -> Dict[str, Any]:
             config = json.load(fh)
     else:
         config = dict(path_or_dict)
+    unknown = sorted(set(config) - CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}; allowed: {sorted(CONFIG_KEYS)}")
     if "cell" not in config:
         raise ValueError("config needs a 'cell' key naming a registered cell")
     if config["cell"] not in CELL_REGISTRY:
@@ -157,15 +145,13 @@ def load_config(path_or_dict) -> Dict[str, Any]:
     config.setdefault("repeats", 1)
     config.setdefault("seed", 0)
     config.setdefault("workers", 1)
-    config.setdefault("executor", None)
-    config.setdefault("chunksize", None)
     return config
 
 
-def run_config(path_or_dict, *, workers: Optional[int] = None, executor: Optional[str] = None) -> Table:
+def run_config(path_or_dict, *, workers: Optional[int] = None) -> Table:
     """Execute a sweep config and render its results as a table.
 
-    ``workers``/``executor`` override the config's own keys (the CLI's
+    ``workers`` overrides the config's own ``"workers"`` key (the CLI's
     ``--workers`` flag lands here).  Results are bit-identical across
     worker counts — see :func:`repro.analysis.sweep.run_sweep`.
     """
@@ -174,12 +160,8 @@ def run_config(path_or_dict, *, workers: Optional[int] = None, executor: Optiona
     sweep = Sweep(axes=config["axes"], repeats=int(config["repeats"]))
     if workers is None:
         workers = int(config["workers"])
-    if executor is None:
-        executor = config["executor"]
-    chunksize = config["chunksize"]
     results: List[SweepResult] = run_sweep(
-        sweep, cell, seed=int(config["seed"]), workers=workers, executor=executor,
-        chunksize=None if chunksize is None else int(chunksize),
+        sweep, cell, seed=int(config["seed"]), workers=workers
     )
 
     axis_names = list(config["axes"])

@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import geometric_decay_rate, loss_factor, realized_price
+from repro.analysis.sweep import map_in_workers
 from repro.analysis.tables import Table
 from repro.core.bas.bounds import (
     appendix_a_alg_value,
@@ -1136,11 +1137,12 @@ def run_experiments(names: Sequence[str], *, workers: int = 1) -> List[Table]:
     """Run several experiments, optionally across worker processes.
 
     Experiments are independent (each derives its RNG streams from its own
-    hard-coded seed), so with ``workers > 1`` they are dispatched to a
-    process pool; tables come back in the requested order and are identical
-    to a serial run.  This is the same ``workers`` knob the sweep engine
-    exposes (:func:`repro.analysis.sweep.run_sweep`), threaded through the
-    CLI's ``all``/``report`` paths.
+    hard-coded seed), so with ``workers > 1`` they are mapped over the
+    sweep engine's persistent process executor
+    (:func:`repro.analysis.sweep.map_in_workers`); tables come back in the
+    requested order and are identical to a serial run.  This is the same
+    ``workers`` knob :func:`repro.analysis.sweep.run_sweep` takes, threaded
+    through the CLI's ``all``/``report`` paths.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -1148,10 +1150,7 @@ def run_experiments(names: Sequence[str], *, workers: int = 1) -> List[Table]:
     if unknown:
         raise KeyError(f"unknown experiments {unknown}; choose from {sorted(EXPERIMENTS)}")
     if workers > 1 and len(names) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(workers, len(names))) as pool:
-            return list(pool.map(run_experiment, names))
+        return map_in_workers(run_experiment, names, min(workers, len(names)))
     return [run_experiment(name) for name in names]
 
 

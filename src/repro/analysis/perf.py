@@ -8,9 +8,9 @@ trajectory so future performance work has a baseline to beat:
 * the cross-instance batched TM kernel — one stacked
   :func:`repro.core.bas.tm.tm_values_batched` pass vs per-forest
   vectorized calls over a 64-forest batch;
-* the sweep engine — serial vs pool-parallel execution of one grid
-  (:func:`repro.analysis.sweep.run_sweep` over the persistent
-  shared-memory pool), with an untimed pool warmup per worker count;
+* the sweep engine — serial vs parallel execution of one grid
+  (:func:`repro.analysis.sweep.run_sweep` over the persistent process
+  executor), with an untimed warmup per worker count;
 * the exact ``OPT_∞`` branch-and-bound — cold vs warm
   :func:`repro.scheduling.edf.edf_feasible_cached` cache, plus the bitset
   core (:func:`repro.scheduling.bitset_bb.bitset_solve`) cold vs memoized
@@ -118,17 +118,19 @@ def bench_sweep_engine(
     reps: int = 3,
     seed: int = 0,
 ) -> List[BenchRecord]:
-    """Serial vs pool-parallel execution of one sweep grid.
+    """Serial vs parallel execution of one sweep grid.
 
     Uses the registered ``bas_loss_random`` cell (module-level, hence
     picklable) over a k × shape grid; the recorded ``n`` is the number of
     cell executions (cells × repeats).  Each parallel worker count gets one
-    untimed warmup sweep first so the persistent pool's one-time fork cost
-    is excluded — that amortisation across sweeps is precisely what the
-    pool buys, so timing it would misstate steady-state throughput.  The
-    parallel speedup is bounded by the host's CPU count — on a single-core
-    machine the record shows pure pool overhead (< 1x); the equivalence
-    tests, not this number, gate the engine's correctness.
+    untimed warmup sweep first, which starts the cached process executor
+    for that count (:func:`repro.analysis.sweep.map_in_workers`), so the
+    one-time fork cost is excluded — reusing those workers across sweeps
+    is what the executor buys, so timing the fork would misstate
+    steady-state throughput.  The parallel speedup is bounded by the
+    host's CPU count — on a single-core machine the record shows pure
+    dispatch overhead (< 1x); the equivalence tests, not this number, gate
+    the engine's correctness.
     """
     from repro.analysis.config import CELL_REGISTRY
 

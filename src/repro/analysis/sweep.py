@@ -7,27 +7,33 @@ seeds.  All experiment tables that report means over random instances are
 produced through this harness.
 
 Execution is serial by default and parallel on request: ``workers=N``
-routes whole cells (one parameter assignment with all its repeats) through
-the persistent shared-memory pool in :mod:`repro.analysis.pool` — workers
-are forked once per worker count and reused across sweeps, the sweep spec
-travels once per job through shared memory, and task messages carry only
-cell indices.  The RNG contract is preserved exactly — every cell receives
-the same spawned streams it would serially, and aggregation happens in the
-parent process in cell order — so parallel results are bit-identical to
-serial ones.
+maps whole cells (one parameter assignment with all its repeats) over a
+persistent :class:`~concurrent.futures.ProcessPoolExecutor` — one per
+worker count, started on first use and reused by every later sweep (and by
+:func:`repro.analysis.experiments.run_experiments`) for the life of the
+process.  A task is a small tuple: the cell function, its parameters, the
+seed and the index of its first RNG stream, and the faults armed in the
+parent.  The worker re-derives the cell's streams with
+:func:`repro.utils.rng.spawn_rng_block`, and the parent aggregates in cell
+order, so parallel results are bit-identical to serial ones.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import threading
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.pool import default_chunksize, get_pool, in_worker
+from repro.obs import tracer as tracer_mod
 from repro.obs.tracer import Tracer, current_tracer
-from repro.utils.rng import spawn_rngs
+from repro.utils import faults
+from repro.utils.rng import spawn_rng_block, spawn_rngs
 
 
 @dataclass(frozen=True)
@@ -60,37 +66,86 @@ class Sweep:
         return [dict(zip(names, combo)) for combo in combos]
 
 
+# ---------------------------------------------------------------------------
+# the persistent process executors
+# ---------------------------------------------------------------------------
+
+_EXECUTORS: Dict[int, ProcessPoolExecutor] = {}
+_EXECUTORS_LOCK = threading.Lock()
+
+#: True in executor worker processes: a cell that itself calls
+#: ``run_sweep`` then runs its sweep serially instead of forking again.
+_IN_WORKER = False
+
+
+def _init_worker() -> None:
+    """Executor initializer: mark the process and drop inherited state.
+
+    A forked worker inherits the parent's active tracer and armed faults;
+    cell traces must start fresh, and faults arrive with each task.
+    """
+    global _IN_WORKER
+    _IN_WORKER = True
+    tracer_mod._CURRENT.set(None)
+    faults._active.clear()
+
+
+def map_in_workers(fn: Callable, items: Iterable, workers: int, chunksize: int = 1) -> List:
+    """``list(map(fn, items))`` on the persistent ``workers``-process executor.
+
+    Results come back in input order.  If a worker process dies, the
+    executor is dropped (the next call starts a fresh one) and
+    :class:`~concurrent.futures.process.BrokenProcessPool` propagates.
+    """
+    with _EXECUTORS_LOCK:
+        executor = _EXECUTORS.get(workers)
+        if executor is None:
+            executor = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker)
+            _EXECUTORS[workers] = executor
+    try:
+        return list(executor.map(fn, items, chunksize=chunksize))
+    except BrokenProcessPool:
+        with _EXECUTORS_LOCK:
+            if _EXECUTORS.get(workers) is executor:
+                del _EXECUTORS[workers]
+        raise
+
+
+# ---------------------------------------------------------------------------
+# cell execution
+# ---------------------------------------------------------------------------
+
+
 def _execute_cell(
     cell_fn,
     params: Dict[str, Any],
     rngs: Sequence[Any],
     trace: bool,
-    shared: Mapping[str, Any],
 ) -> Tuple[List[Mapping[str, float]], Optional[Dict[str, Any]]]:
-    """Execute one cell's repeats; the single cell protocol for both engines.
+    """Execute one cell's repeats; the single cell protocol, serial or not.
 
-    Plain cells are called once per repeat as ``cell_fn(rng=..., **params,
-    **shared)``.  Cells marked ``batch_repeats = True`` (an attribute on
-    the function) are instead called *once* as ``cell_fn(rngs=[...],
-    **params, **shared)`` and must return one metrics mapping per repeat —
-    that is how a cell hands all its repeats to
-    :func:`repro.core.bas.tm.tm_optimal_values_batched` in one kernel pass.
+    Plain cells are called once per repeat as ``cell_fn(rng=..., **params)``.
+    Cells marked ``batch_repeats = True`` (an attribute on the function) are
+    instead called *once* as ``cell_fn(rngs=[...], **params)`` and must
+    return one metrics mapping per repeat — that is how a cell hands all
+    its repeats to :func:`repro.core.bas.tm.tm_optimal_values_batched` in
+    one kernel pass.
 
     When tracing, the cell runs under a fresh local tracer whose export
-    rides back to the parent — that is how spans serialize across the
-    worker pool and merge into the parent trace.
+    rides back to the parent — that is how spans serialize across worker
+    processes and merge into the parent trace.
     """
 
     def _call() -> List[Mapping[str, float]]:
         if getattr(cell_fn, "batch_repeats", False):
-            runs = list(cell_fn(rngs=list(rngs), **params, **shared))
+            runs = list(cell_fn(rngs=list(rngs), **params))
             if len(runs) != len(rngs):
                 raise ValueError(
                     f"batch_repeats cell {getattr(cell_fn, '__name__', cell_fn)!r} "
                     f"returned {len(runs)} runs for {len(rngs)} repeats"
                 )
             return runs
-        return [cell_fn(rng=rng, **params, **shared) for rng in rngs]
+        return [cell_fn(rng=rng, **params) for rng in rngs]
 
     if not trace:
         return _call(), None
@@ -101,17 +156,18 @@ def _execute_cell(
     return runs, tracer.export()
 
 
-def _run_cell(task) -> Tuple[List[Mapping[str, float]], Optional[Dict[str, Any]]]:
-    """Tuple-task wrapper over :func:`_execute_cell` (legacy transport shape).
-
-    ``task`` is ``(cell_fn, params, rngs)`` plus optional trailing ``trace``
-    and ``shared`` entries.  Kept module-level and picklable for external
-    callers that still map tasks over a generic executor.
-    """
-    cell_fn, params, rngs = task[0], task[1], task[2]
-    trace = task[3] if len(task) > 3 else False
-    shared = task[4] if len(task) > 4 else {}
-    return _execute_cell(cell_fn, params, rngs, trace, shared)
+def _execute_task(task) -> Tuple[List[Mapping[str, float]], Optional[Dict[str, Any]]]:
+    """Worker side of one cell: rebuild its RNG streams, re-arm the faults."""
+    cell_fn, params, seed, first_stream, repeats, trace, armed = task
+    rngs = spawn_rng_block(seed, first_stream, repeats)
+    # The worker may predate the parent arming a fault: arm exactly the
+    # snapshot taken at submission, so serial and parallel runs agree.
+    faults._active.clear()
+    faults._active.update(armed)
+    try:
+        return _execute_cell(cell_fn, params, rngs, trace)
+    finally:
+        faults._active.clear()
 
 
 def _aggregate(
@@ -145,9 +201,6 @@ def run_sweep(
     *,
     seed: int = 0,
     workers: int = 1,
-    executor: Optional[str] = None,
-    chunksize: Optional[int] = None,
-    shared: Optional[Dict[str, Any]] = None,
 ) -> List[SweepResult]:
     """Execute every cell ``repeats`` times and average the metrics.
 
@@ -157,74 +210,43 @@ def run_sweep(
     repeats; a ``*_max`` variant of every metric records the worst repeat,
     since price statements are worst-case claims.
 
-    ``shared`` is an optional mapping of keyword arguments passed to every
-    cell call unchanged — a corpus of :class:`~repro.core.bas.forest.Forest`
-    instances or numpy arrays placed here travels to pool workers through
-    shared memory once per sweep instead of being pickled per cell.
-
-    ``workers``/``executor`` select the execution engine:
-
-    * ``executor="serial"`` (or ``workers=1``) — run cells in-process;
-    * ``executor="process"`` — dispatch cells to the persistent
-      ``workers``-process pool (:func:`repro.analysis.pool.get_pool`) in
-      index chunks of ``chunksize`` (default:
-      :func:`repro.analysis.pool.default_chunksize`, ~4 chunks per
-      worker).  ``cell_fn`` must then be picklable (a module-level
-      function — every registered config cell qualifies).
-
-    With ``executor=None`` the engine is inferred: ``"process"`` when
-    ``workers > 1``, ``"serial"`` otherwise.  Either engine spawns the same
-    per-cell RNG streams from ``seed`` and aggregates in cell order, so the
-    results are bit-identical regardless of worker count.  A sweep issued
-    from inside a pool worker (a cell that itself sweeps) silently runs
-    serially rather than deadlocking on a nested pool.
+    With ``workers > 1`` the cells run on the persistent ``workers``-process
+    executor (:func:`map_in_workers`), about four cells per task message
+    per worker; ``cell_fn`` must then be picklable (a module-level function
+    — every registered config cell qualifies).  Either way every cell gets
+    the same spawned RNG streams from ``seed`` and aggregation happens in
+    cell order, so the results are bit-identical regardless of worker
+    count.  A sweep issued from inside a worker (a cell that itself sweeps)
+    runs serially.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if executor is None:
-        executor = "process" if workers > 1 else "serial"
-    if executor not in ("serial", "process"):
-        raise ValueError(f"executor must be 'serial' or 'process', got {executor!r}")
 
     tracer = current_tracer()
     trace = tracer is not None
     cells = sweep.cells()
-    shared_kwargs = shared or {}
-    use_pool = (
-        executor == "process" and workers > 1 and len(cells) > 1 and not in_worker()
-    )
+    repeats = sweep.repeats
     with (
         tracer.span(
-            "sweep.run",
-            cells=len(cells), repeats=sweep.repeats,
-            workers=workers, executor=executor, seed=seed,
+            "sweep.run", cells=len(cells), repeats=repeats, workers=workers, seed=seed
         )
         if trace
-        else _noop_context()
+        else nullcontext()
     ):
-        if use_pool:
-            if chunksize is None:
-                chunksize = default_chunksize(len(cells), workers)
-            outcomes = get_pool(workers).run_job(
-                cell_fn,
-                cells,
-                sweep.repeats,
-                seed,
-                trace=trace,
-                shared=shared_kwargs,
-                chunksize=chunksize,
-                tracer=tracer,
+        if workers > 1 and len(cells) > 1 and not _IN_WORKER:
+            armed = faults.active_faults()
+            tasks = [
+                (cell_fn, params, seed, i * repeats, repeats, trace, armed)
+                for i, params in enumerate(cells)
+            ]
+            outcomes = map_in_workers(
+                _execute_task, tasks, workers,
+                chunksize=max(1, len(cells) // (4 * workers)),
             )
         else:
-            rngs = spawn_rngs(seed, len(cells) * sweep.repeats)
+            rngs = spawn_rngs(seed, len(cells) * repeats)
             outcomes = [
-                _execute_cell(
-                    cell_fn,
-                    params,
-                    rngs[i * sweep.repeats : (i + 1) * sweep.repeats],
-                    trace,
-                    shared_kwargs,
-                )
+                _execute_cell(cell_fn, params, rngs[i * repeats : (i + 1) * repeats], trace)
                 for i, params in enumerate(cells)
             ]
         results: List[SweepResult] = []
@@ -238,9 +260,3 @@ def run_sweep(
                 block = _cell_trace_block(payload)
             results.append(_aggregate(params, runs, block))
     return results
-
-
-def _noop_context():
-    from contextlib import nullcontext
-
-    return nullcontext()

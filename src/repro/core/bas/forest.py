@@ -250,52 +250,6 @@ class Forest:
             self._stack_cache = (depth_topo, np.diff(start))
         return self._stack_cache
 
-    def csr_payload(self) -> Dict[str, np.ndarray]:
-        """The forest as a dict of flat numpy arrays — a shared-memory-ready
-        snapshot consumed by :meth:`from_csr_payload`.
-
-        The sweep worker pool ships cached forests across processes through
-        ``multiprocessing.shared_memory`` instead of pickling them per cell;
-        this is the wire format.  Object-dtype values (``Fraction``) have no
-        flat byte representation and are rejected — exact-arithmetic forests
-        must travel by pickle.
-        """
-        values = self.values_array
-        if values.dtype == object:
-            raise TypeError(
-                "csr_payload: object-dtype values (e.g. Fraction) cannot be "
-                "flattened into shared memory; pass the Forest itself instead"
-            )
-        topo, start, level_ptr, depths = self._csr()
-        return {
-            "parents": np.asarray(self._parent, dtype=np.intp),
-            "values": values,
-            "topo": topo,
-            "start": start,
-            "level_ptr": level_ptr,
-            "depths": depths,
-        }
-
-    @staticmethod
-    def from_csr_payload(payload: Dict[str, np.ndarray]) -> "Forest":
-        """Rebuild a forest from :meth:`csr_payload` arrays.
-
-        The CSR caches are installed directly from the payload (zero-copy
-        when the arrays are shared-memory views), so the traversal orders
-        are never re-derived in the receiving process.
-        """
-        forest = Forest(payload["parents"].tolist(), payload["values"].tolist())
-        forest._topo_cache = tuple(int(v) for v in payload["topo"])
-        forest._depth_cache = tuple(int(d) for d in payload["depths"])
-        forest._csr_cache = (
-            payload["topo"],
-            payload["start"],
-            payload["level_ptr"],
-            payload["depths"],
-        )
-        forest._values_array_cache = payload["values"]
-        return forest
-
     def subtree_nodes(self, v: int) -> List[int]:
         """All nodes of ``T(v)``, the sub-tree rooted at ``v``."""
         out: List[int] = []

@@ -512,23 +512,32 @@ class Gateway:
     ) -> None:
         try:
             while True:
-                request_line = await reader.readline()
-                if not request_line:
-                    break
-                parts = request_line.decode("latin-1").strip().split()
-                if len(parts) != 3:
+                try:
+                    request_line = await reader.readline()
+                    if not request_line:
+                        break
+                    parts = request_line.decode("latin-1").strip().split()
+                    if len(parts) != 3:
+                        await _write_response(
+                            writer, 400, {"error": "malformed request line"}, {}, False
+                        )
+                        break
+                    method, path, _version = parts
+                    headers: Dict[str, str] = {}
+                    while True:
+                        line = await reader.readline()
+                        if line in (b"\r\n", b"\n", b""):
+                            break
+                        name, _, value = line.decode("latin-1").partition(":")
+                        headers[name.strip().lower()] = value.strip()
+                except ValueError:
+                    # StreamReader.readline raises ValueError for a line
+                    # longer than the stream limit (asyncio's 64 KiB).
                     await _write_response(
-                        writer, 400, {"error": "malformed request line"}, {}, False
+                        writer, 431, {"error": "request line or header line too long"},
+                        {}, False,
                     )
                     break
-                method, path, _version = parts
-                headers: Dict[str, str] = {}
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    name, _, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
                 length, rejection = _content_length(headers)
                 if rejection is not None:
                     status, payload = rejection
@@ -579,6 +588,7 @@ _STATUS_TEXT = {
     404: "Not Found",
     413: "Content Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     502: "Bad Gateway",
     503: "Service Unavailable",
 }

@@ -46,6 +46,13 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="axes"):
             load_config({"cell": "price_mixed", "axes": {"k": 3}})
 
+    @pytest.mark.parametrize("key", ["repeat", "executor", "chunksize"])
+    def test_unknown_key_rejected(self, key):
+        # A typo such as "repeat" must not silently run one repeat, and the
+        # removed engine keys must not vanish without notice.
+        with pytest.raises(ValueError, match=f"unknown config keys \\['{key}'\\]"):
+            load_config({"cell": "price_mixed", "axes": {"k": [1]}, key: 4})
+
 
 class TestRunConfig:
     def test_grid_rows(self):

@@ -520,6 +520,42 @@ class TestContentLength:
         assert after[0] == 200
 
 
+class TestLongLines:
+    """Regression: a request line or header line past asyncio's 64 KiB
+    ``readline`` limit raised ``ValueError`` out of the connection handler
+    ("Unhandled exception in client_connected_cb") and the socket closed
+    with no reply.  Each now gets a 431 and a closed connection."""
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"GET /v1/healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n",
+            b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+        ],
+        ids=["header-line", "request-line"],
+    )
+    def test_long_line_gets_431_and_close(self, head, caplog):
+        async def scenario():
+            gateway = Gateway(shards=1, shard_factory=_inline_factory())
+            async with gateway:
+                raw = await _raw_exchange(gateway.port, head)
+                after = await _http_json(
+                    "127.0.0.1", gateway.port, "POST", "/v1/solve",
+                    _requests(1)[0].to_wire(),
+                )
+            return raw, after
+
+        with caplog.at_level("ERROR", logger="asyncio"):
+            raw, after = _run(scenario())
+        head_part, _, body = raw.partition(b"\r\n\r\n")
+        lines = head_part.decode("latin-1").split("\r\n")
+        assert lines[0] == "HTTP/1.1 431 Request Header Fields Too Large"
+        assert "Connection: close" in lines
+        assert "error" in json.loads(body)
+        assert after[0] == 200
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
+
 # ---------------------------------------------------------------------------
 # real process fleet
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ reference implementation here:
   integer/``Fraction`` forests (including the Appendix-A layered family),
   up to summation-order ulps for float forests;
 * ``run_sweep(workers=N)`` against serial execution — bit-identical, the
-  per-cell RNG-stream contract;
+  per-cell RNG-stream contract — plus the persistent executor's edges:
+  faults armed after its workers started, nested sweeps, failing and
+  dying cells, and worker reuse across sweeps;
 * ``edf_feasible_cached`` against ``edf_feasible``, and the cached
   branch-and-bound against its known optimum;
 * the CSR/level numpy layout against the per-node ``children()``/``depths``
@@ -15,6 +17,9 @@ reference implementation here:
 """
 
 import math
+import os
+import time
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.config import CELL_REGISTRY
 from repro.analysis.sweep import Sweep, run_sweep
 from repro.core.bas.forest import Forest
 from repro.core.bas.tm import (
@@ -35,6 +41,8 @@ from repro.core.bas.tm import (
 from repro.core.bas.verify import verify_bas
 from repro.instances.lower_bounds import appendix_a_forest
 from repro.instances.random_trees import random_forest
+from repro.obs import MemorySink, Tracer
+from repro.utils import faults
 from repro.utils.rng import spawn_rngs
 
 
@@ -140,6 +148,36 @@ def _metric_cell(rng, n: int, k: int = 1) -> dict:
     return {"mean": float(draws.mean()), "k_scaled": float(k * draws.sum())}
 
 
+def _pid_cell(rng, n: int, nap: float = 0.0) -> dict:
+    """Reports the process that ran it; ``nap`` keeps every worker busy."""
+    time.sleep(nap)
+    return {"pid": float(os.getpid())}
+
+
+def _nested_cell(rng, n: int) -> dict:
+    """A cell that itself sweeps with ``workers=2``."""
+    inner = run_sweep(Sweep(axes={"n": [1, 2]}), _pid_cell, seed=1, workers=2)
+    pid = float(os.getpid())
+    return {"pid": pid, "inner_in_process": float(all(r.metrics["pid"] == pid for r in inner))}
+
+
+def _failing_cell(rng, n: int) -> dict:
+    if int(n) == 13:
+        raise ValueError("unlucky cell blew up")
+    return {"ok": float(n)}
+
+
+def _bad_batch_cell(rngs, n: int) -> list:
+    return [{"x": 1.0}]  # always one run, regardless of len(rngs)
+
+
+_bad_batch_cell.batch_repeats = True
+
+
+def _exit_cell(rng, n: int) -> dict:
+    os._exit(3)
+
+
 class TestParallelSweep:
     def test_workers_bit_identical_to_serial(self):
         sweep = Sweep(axes={"n": [50, 200], "k": [1, 2, 3]}, repeats=3)
@@ -149,17 +187,90 @@ class TestParallelSweep:
             assert parallel == serial  # bit-identical floats, same order
 
     def test_workers_bit_identical_on_forest_cell(self):
-        from repro.analysis.config import CELL_REGISTRY
-
         cell = CELL_REGISTRY["bas_loss_random"]
         sweep = Sweep(axes={"n": [60, 120], "k": [1, 2], "shape": ["attachment"]}, repeats=2)
         serial = run_sweep(sweep, cell, seed=5, workers=1)
         parallel = run_sweep(sweep, cell, seed=5, workers=3)
         assert parallel == serial
 
-    def test_explicit_serial_executor_ignores_workers(self):
+    def test_untraced_rows_equal_serial_without_trace(self):
+        sweep = Sweep(axes={"n": [40, 90], "k": [1, 2]}, repeats=2)
+        serial = run_sweep(sweep, _metric_cell, seed=11, workers=1)
+        parallel = run_sweep(sweep, _metric_cell, seed=11, workers=2)
+        assert parallel == serial
+        assert all(r.trace is None for r in parallel)  # no tracer, no trace block
+
+    def test_traced_rows_equal_serial(self):
+        sweep = Sweep(axes={"n": [30, 60], "k": [1, 2]}, repeats=2)
+        serial = run_sweep(sweep, _metric_cell, seed=7, workers=1)
+        tracer = Tracer(sinks=[MemorySink()])
+        with tracer.activate():
+            parallel = run_sweep(sweep, _metric_cell, seed=7, workers=2)
+        assert [r.params for r in parallel] == [r.params for r in serial]
+        assert [r.metrics for r in parallel] == [r.metrics for r in serial]
+        assert all(r.trace is not None for r in parallel)
+        assert tracer.counters["sweep.cells_run"] == 4
+
+    def test_batch_repeats_rows_equal_serial(self):
+        cell = CELL_REGISTRY["bas_loss_random_batched"]
+        sweep = Sweep(axes={"n": [50, 80], "k": [1, 2]}, repeats=2)
+        serial = run_sweep(sweep, cell, seed=3, workers=1)
+        assert run_sweep(sweep, cell, seed=3, workers=2) == serial
+
+    def test_fault_armed_after_workers_started_reaches_them(self):
+        # Workers forked before the fault was armed must still run under it,
+        # or serial-vs-parallel equality breaks under injection.
+        cell = CELL_REGISTRY["bas_loss_random"]
+        sweep = Sweep(axes={"n": [40, 70], "k": [2]}, repeats=2)
+        clean = run_sweep(sweep, cell, seed=5, workers=2)  # starts the workers
+        with faults.inject("tm.loop.topk-order"):
+            serial = run_sweep(sweep, cell, seed=5, workers=1)
+            parallel = run_sweep(sweep, cell, seed=5, workers=2)
+        assert serial != clean  # the fault changes the rows
+        assert parallel == serial
+        assert run_sweep(sweep, cell, seed=5, workers=2) == clean  # and is disarmed
+
+    def test_nested_sweep_runs_serially_in_worker(self):
+        sweep = Sweep(axes={"n": [20, 40]}, repeats=1)
+        rows = run_sweep(sweep, _nested_cell, seed=2, workers=2)
+        assert all(r.metrics["pid"] != os.getpid() for r in rows)
+        assert all(r.metrics["inner_in_process"] == 1.0 for r in rows)
+
+    def test_cell_exception_carries_worker_traceback(self):
+        sweep = Sweep(axes={"n": [1, 13]}, repeats=1)
+        with pytest.raises(ValueError, match="unlucky cell blew up") as exc:
+            run_sweep(sweep, _failing_cell, seed=0, workers=2)
+        # The executor chains the formatted worker-side traceback.
+        assert "_failing_cell" in str(exc.value.__cause__)
+        ok = run_sweep(Sweep(axes={"n": [1, 2]}), _failing_cell, seed=0, workers=2)
+        assert [r.metrics["ok"] for r in ok] == [1.0, 2.0]
+
+    def test_batch_repeats_length_mismatch_raises(self):
+        sweep = Sweep(axes={"n": [1, 2]}, repeats=3)
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="returned 1 runs for 3 repeats"):
+                run_sweep(sweep, _bad_batch_cell, seed=0, workers=workers)
+
+    def test_worker_death_raises_and_next_sweep_succeeds(self):
+        sweep = Sweep(axes={"n": [1, 2]}, repeats=1)
+        with pytest.raises(BrokenProcessPool):
+            run_sweep(sweep, _exit_cell, seed=0, workers=2)
+        serial = run_sweep(sweep, _metric_cell, seed=4, workers=1)
+        assert run_sweep(sweep, _metric_cell, seed=4, workers=2) == serial
+
+    def test_back_to_back_sweeps_share_worker_pids(self):
+        # A per-call executor would fork fresh workers for every sweep.
+        sweep = Sweep(axes={"n": [1, 2, 3, 4], "nap": [0.05]})
+        run_sweep(sweep, _pid_cell, seed=0, workers=2)  # start the workers
+        first = {r.metrics["pid"] for r in run_sweep(sweep, _pid_cell, seed=0, workers=2)}
+        second = {r.metrics["pid"] for r in run_sweep(sweep, _pid_cell, seed=0, workers=2)}
+        assert float(os.getpid()) not in first | second
+        assert first & second
+        assert len(first | second) <= 2
+
+    def test_single_cell_grid_ignores_workers(self):
         sweep = Sweep(axes={"n": [10]}, repeats=2)
-        a = run_sweep(sweep, _metric_cell, seed=0, workers=4, executor="serial")
+        a = run_sweep(sweep, _metric_cell, seed=0, workers=4)
         b = run_sweep(sweep, _metric_cell, seed=0)
         assert a == b
 
@@ -183,8 +294,8 @@ class TestParallelSweep:
         sweep = Sweep(axes={"n": [1]})
         with pytest.raises(ValueError):
             run_sweep(sweep, _metric_cell, workers=0)
-        with pytest.raises(ValueError):
-            run_sweep(sweep, _metric_cell, executor="threads")
+        with pytest.raises(TypeError):  # one engine: no executor selector
+            run_sweep(sweep, _metric_cell, executor="serial")
 
 
 # ---------------------------------------------------------------------------
