@@ -19,6 +19,7 @@ harness, so adding axes or repeats never perturbs existing cells.
 from __future__ import annotations
 
 import json
+import os
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.analysis.sweep import Sweep, SweepResult, run_sweep
@@ -127,7 +128,12 @@ def load_config(path_or_dict) -> Dict[str, Any]:
     """Load and validate a sweep config from a path or an already-parsed dict."""
     if isinstance(path_or_dict, (str, bytes)) or hasattr(path_or_dict, "__fspath__"):
         with open(path_or_dict) as fh:
-            config = json.load(fh)
+            try:
+                config = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{os.fsdecode(path_or_dict)}: invalid JSON: {exc}") from exc
+        if not isinstance(config, dict):
+            raise ValueError(f"config must be a JSON object, got {type(config).__name__}")
     else:
         config = dict(path_or_dict)
     unknown = sorted(set(config) - CONFIG_KEYS)
@@ -139,12 +145,15 @@ def load_config(path_or_dict) -> Dict[str, Any]:
         raise ValueError(
             f"unknown cell {config['cell']!r}; registered: {sorted(CELL_REGISTRY)}"
         )
-    axes = config.get("axes", {})
+    axes = config.setdefault("axes", {})
     if not isinstance(axes, dict) or not all(isinstance(v, list) for v in axes.values()):
         raise ValueError("'axes' must map parameter names to value lists")
-    config.setdefault("repeats", 1)
-    config.setdefault("seed", 0)
-    config.setdefault("workers", 1)
+    for key, default, least in (("repeats", 1, 1), ("seed", 0, 0), ("workers", 1, 1)):
+        value = config.setdefault(key, default)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{key!r} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{key!r} must be >= {least}, got {value}")
     return config
 
 

@@ -12,11 +12,11 @@ uniform entry points instead:
   :class:`~repro.core.pricing.PriceMeasurement`.
 
 The request side of that surface is a value object: :class:`SolveRequest`
-is the **single request representation** shared by this facade, the batch
+is the **single request representation** shared by this facade, the
 solver service (:mod:`repro.serve`), the sharded gateway
 (:mod:`repro.gateway`) and the golden files — replacing the positional
 ``(jobs, k, machines, method, deadline_ms)`` tuples that used to thread
-through ``submit``/``solve``/``submit_batch``.  Both :class:`SolveRequest`
+through ``submit``/``solve``.  Both :class:`SolveRequest`
 and :class:`SolveResult` cross process and network boundaries through the
 versioned ``repro-wire/1`` JSON schema (:data:`WIRE_FORMAT`):
 ``to_wire()`` emits a self-describing document with exact-rational
@@ -71,7 +71,6 @@ __all__ = [
     "SolveResult",
     "request_key",
     "solve_k_bounded",
-    "solve_k_bounded_batch",
     "price_of_bounded_preemption",
 ]
 
@@ -412,78 +411,6 @@ def solve_k_bounded(
         method=resolved,
         metrics=metrics,
     )
-
-
-def solve_k_bounded_batch(
-    jobs_list,
-    k: int,
-    *,
-    machines: int = 1,
-    method: str = "auto",
-    enforce_laxity: bool = True,
-) -> list:
-    """:func:`solve_k_bounded` over many instances in one batched pass.
-
-    For ``method="auto"``/``"combined"`` single-machine ``k >= 1`` requests
-    with at least two instances, the whole batch runs through
-    :func:`repro.core.combined.schedule_k_bounded_batch`, which solves every
-    instance's schedule forests with one cross-instance batched TM kernel
-    dispatch.  Anything else (``machines > 1``, ``k = 0``, forced
-    ``reduction``/``lsa`` methods, or a batch of one) falls back to
-    per-instance :func:`solve_k_bounded` calls — same results, no batching.
-
-    Returns one :class:`SolveResult` per instance, in order.  The batched
-    path stamps each result's metrics with the *batch* observability block:
-    ``wall_ms`` is the whole batch's wall time and ``batch.size`` its
-    instance count (per-instance attribution inside one stacked kernel pass
-    is not meaningful); solver counters are likewise batch totals.
-    """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if machines < 1:
-        raise ValueError(f"machines must be >= 1, got {machines}")
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r} (want one of {METHODS})")
-    jobs_list = list(jobs_list)
-    if machines > 1 or k == 0 or method not in ("auto", "combined") or len(jobs_list) < 2:
-        return [
-            solve_k_bounded(
-                jobs, k, machines=machines, method=method,
-                enforce_laxity=enforce_laxity,
-            )
-            for jobs in jobs_list
-        ]
-
-    from repro.core.combined import schedule_k_bounded_batch
-
-    caller_tracer = current_tracer()
-    tracer = caller_tracer if caller_tracer is not None else Tracer()
-    before = dict(tracer.counters)
-    with tracer.activate():
-        with tracer.span(
-            "api.solve_batch", instances=len(jobs_list), k=k, method=method
-        ) as root:
-            schedules = schedule_k_bounded_batch(jobs_list, k)
-        wall_ms = root.duration_ms
-
-    metrics: Dict[str, float] = {
-        "wall_ms": float(wall_ms),
-        "batch.size": float(len(jobs_list)),
-    }
-    for name, total in tracer.counters.items():
-        delta = total - before.get(name, 0)
-        if delta:
-            metrics[name] = float(delta)
-    return [
-        SolveResult(
-            value=float(schedule.value),
-            schedule=schedule,
-            preemptions_used=int(schedule.max_preemptions),
-            method="combined",
-            metrics=dict(metrics),
-        )
-        for schedule in schedules
-    ]
 
 
 def price_of_bounded_preemption(

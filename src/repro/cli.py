@@ -315,10 +315,8 @@ def _cmd_serve_bench(args) -> int:
     print(f"cold   p50 {cold_p50:9.3f} ms   p95 {payload['cold_p95_ms']:9.3f} ms")
     print(f"cached p50 {hit_p50:9.3f} ms   p95 {payload['cached_p95_ms']:9.3f} ms")
     print(f"cached p50 speedup: {speedup:.1f}x")
-    print(
-        "service: "
-        + ", ".join(f"{name}={getattr(stats, name)}" for name in ("requests", "hits", "misses", "coalesced", "batched", "degraded", "evictions"))
-    )
+    shown = ("requests", "hits", "misses", "coalesced", "degraded", "evictions")
+    print("service: " + ", ".join(f"{name}={getattr(stats, name)}" for name in shown))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -741,9 +739,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "demo":
         return _cmd_demo()
     if args.command == "sweep":
-        from repro.analysis.config import run_config
+        from repro.analysis.config import load_config, run_config
 
-        table = run_config(args.config, workers=args.workers)
+        # Config errors are the user's to fix: one line and usage status 2.
+        # A cell that raises while running still propagates.
+        try:
+            config = load_config(args.config)
+            if args.workers is not None and args.workers < 1:
+                raise ValueError(f"--workers must be >= 1, got {args.workers}")
+        except (ValueError, OSError) as exc:
+            print(f"repro-bench sweep: error: {exc}", file=sys.stderr)
+            return 2
+        table = run_config(config, workers=args.workers)
         print(table.render_markdown() if args.markdown else table.render())
         return 0
     if args.command == "bench":

@@ -240,8 +240,8 @@ class Forest:
         """Cached ``(depth_topo, degrees)`` in topo order, for :func:`stack_csr`.
 
         ``depth_topo[i]`` is the depth of ``topo_array[i]``; ``degrees[i]``
-        its child count.  Cached because batched solves re-stack the same
-        forests (serve batches, sweep repeats)."""
+        its child count.  Cached because repeated stacked passes over the
+        same forests (benchmark reps) re-stack them."""
         if self._stack_cache is None:
             _, start, level_ptr, _ = self._csr()
             depth_topo = np.repeat(

@@ -366,26 +366,13 @@ def tm_optimal_values_batched(forests, k: int) -> List:
     """``val`` of the optimal k-BAS of each forest, batched when worthwhile.
 
     The drop-in cross-instance counterpart of :func:`tm_optimal_value`:
-    sweep cells and serve batches that need many instances' optimal values
-    pay one stacked kernel pass instead of one dispatch per forest.
+    sweep cells that need many instances' optimal values pay one stacked
+    kernel pass instead of one dispatch per forest.
     """
     pairs = _tm_values_batched_auto(forests, k)
     return [
         sum(max(t[r], m[r]) for r in f.roots) for f, (t, m) in zip(forests, pairs)
     ]
-
-
-def tm_optimal_bas_batched(forests, k: int) -> List[SubForest]:
-    """The optimal k-BAS of each forest, aggregates from one batched pass.
-
-    The top-down replay stays per forest (it is a cheap Python walk over
-    the retained nodes only); the DP aggregates — the dominant cost — come
-    from :func:`tm_values_batched` under the same dispatch rule as
-    :func:`_tm_values_batched_auto`.
-    """
-    forests = list(forests)
-    pairs = _tm_values_batched_auto(forests, k)
-    return [_replay_bas(f, k, t, m) for f, (t, m) in zip(forests, pairs)]
 
 
 def tm_optimal_bas(forest: Forest, k: int) -> SubForest:
@@ -418,11 +405,6 @@ def tm_optimal_bas(forest: Forest, k: int) -> SubForest:
 
 def _tm_optimal_bas_impl(forest: Forest, k: int) -> SubForest:
     t, m = _tm_values_auto(forest, k)
-    return _replay_bas(forest, k, t, m)
-
-
-def _replay_bas(forest: Forest, k: int, t: List, m: List) -> SubForest:
-    """Materialise the optimal k-BAS from precomputed ``t``/``m`` aggregates."""
     # Mirror of the aggregate-side fault hook: under the injected mutation
     # the replay picks the same (wrong) children the recurrence counted, so
     # the broken kernel stays internally consistent — only a cross-engine

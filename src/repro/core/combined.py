@@ -17,14 +17,10 @@ don't carry an OPT schedule around: it computes one (exactly for small
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from repro.core.lsa import lsa_cs
-from repro.core.reduction import (
-    forest_to_schedule,
-    reduce_schedule_to_k_preemptive,
-    reduction_forest_phase,
-)
+from repro.core.reduction import reduce_schedule_to_k_preemptive
 from repro.scheduling.edf import edf_accept_max_subset, edf_feasible, edf_schedule
 from repro.scheduling.exact import opt_infty_exact
 from repro.scheduling.job import JobSet
@@ -138,107 +134,3 @@ def schedule_k_bounded(
     # every bound.
     whole = reduce_schedule_to_k_preemptive(opt, k, algorithm=bas_algorithm)
     return whole if whole.value > combined.value else combined
-
-
-def _opt_infty_input(jobs: JobSet, k: int, exact_opt: Optional[bool]) -> Schedule:
-    """The ∞-preemptive input schedule :func:`schedule_k_bounded` reduces from."""
-    if edf_feasible(jobs):
-        return edf_schedule(jobs).schedule
-    if exact_opt or (exact_opt is None and jobs.n <= _EXACT_OPT_MAX_JOBS):
-        return opt_infty_exact(jobs)
-    return edf_accept_max_subset(jobs)
-
-
-def schedule_k_bounded_batch(
-    jobs_list: Sequence[JobSet],
-    k: int,
-    *,
-    exact_opt: Optional[bool] = None,
-    bas_algorithm: str = "tm",
-) -> List[Schedule]:
-    """:func:`schedule_k_bounded` over many instances, one batched BAS pass.
-
-    Runs the identical per-instance pipeline — same OPT_∞ dispatch, same
-    strict/lax/whole branches, same winner tie-breaks — but collects every
-    schedule forest (the strict branch's and the whole-schedule branch's,
-    across all instances) and solves them with a single
-    :func:`repro.core.bas.tm.tm_optimal_bas_batched` call, so the DP
-    aggregates of the entire batch come from one stacked kernel sweep.
-
-    Matches per-instance :func:`schedule_k_bounded` output exactly on
-    integer-valued instances; on float values the stacked kernel may differ
-    by summation-order ulps once the batch is large enough to dispatch the
-    stacked layout (below that threshold the per-forest engine runs and
-    results are bit-identical).  Only ``bas_algorithm="tm"`` batches;
-    ``"contraction"`` falls back to per-instance solves.
-    """
-    if k < 1:
-        raise ValueError(
-            f"schedule_k_bounded_batch requires k >= 1, got {k}; "
-            "use repro.core.nonpreemptive.nonpreemptive_combined for k = 0"
-        )
-    jobs_list = list(jobs_list)
-    if bas_algorithm != "tm":
-        return [
-            schedule_k_bounded(j, k, exact_opt=exact_opt, bas_algorithm=bas_algorithm)
-            for j in jobs_list
-        ]
-    from repro.core.bas.tm import tm_optimal_bas_batched
-
-    # Phase 1: per-instance prep up to (but not including) the BAS solves.
-    # Each plan entry is (jobs, strict forest ref, lax schedule, whole
-    # forest ref); refs index the shared forest list, None = branch empty.
-    forests = []
-    compact_inputs = []  # (laminar, node_to_job) aligned with ``forests``
-    plans = []
-    for jobs in jobs_list:
-        if jobs.n == 0:
-            plans.append(None)
-            continue
-        opt = _opt_infty_input(jobs, k, exact_opt)
-        strict_input = opt.restricted_to(
-            [i for i in opt.scheduled_ids if jobs[i].is_strict(k)]
-        )
-        strict_ref = None
-        if len(strict_input) > 0:
-            laminar, forest, node_to_job = reduction_forest_phase(strict_input)
-            strict_ref = len(forests)
-            forests.append(forest)
-            compact_inputs.append((laminar, node_to_job))
-        lax = jobs.split_by_laxity(k)[1]
-        if lax.n > 0:
-            ls = lsa_cs(lax, k=k)
-            lax_sched = Schedule(jobs, {i: list(ls[i]) for i in ls.scheduled_ids})
-        else:
-            lax_sched = Schedule(jobs, {})
-        whole_ref = None
-        if len(opt) > 0:
-            laminar, forest, node_to_job = reduction_forest_phase(opt)
-            whole_ref = len(forests)
-            forests.append(forest)
-            compact_inputs.append((laminar, node_to_job))
-        plans.append((jobs, strict_ref, lax_sched, whole_ref))
-
-    # Phase 2: every forest in the batch through one batched-BAS dispatch.
-    bases = tm_optimal_bas_batched(forests, k) if forests else []
-
-    # Phase 3: per-instance compaction and winner selection, verbatim from
-    # k_preemption_combined + schedule_k_bounded.
-    out: List[Schedule] = []
-    for jobs, plan in zip(jobs_list, plans):
-        if plan is None:
-            out.append(Schedule(jobs, {}))
-            continue
-        jobs, strict_ref, lax_sched, whole_ref = plan
-        if strict_ref is not None:
-            laminar, node_to_job = compact_inputs[strict_ref]
-            strict_sched = forest_to_schedule(laminar, node_to_job, bases[strict_ref])
-        else:
-            strict_sched = Schedule(jobs, {})
-        combined = strict_sched if strict_sched.value >= lax_sched.value else lax_sched
-        if whole_ref is not None:
-            laminar, node_to_job = compact_inputs[whole_ref]
-            whole = forest_to_schedule(laminar, node_to_job, bases[whole_ref])
-            combined = whole if whole.value > combined.value else combined
-        out.append(combined)
-    return out

@@ -137,24 +137,6 @@ def forest_to_schedule_reedf(
     )
 
 
-def reduction_forest_phase(
-    schedule: Schedule,
-) -> Tuple[Schedule, Forest, List[int]]:
-    """First half of the reduction: laminarise and build the schedule forest.
-
-    Returns ``(laminar schedule, forest, node_to_job)`` ready for a k-BAS
-    solve plus :func:`forest_to_schedule` compaction.  Exposed so batch
-    callers (:func:`repro.core.combined.schedule_k_bounded_batch`) can
-    collect the forests of many instances and solve them in one
-    :func:`repro.core.bas.tm.tm_optimal_bas_batched` pass — the per-forest
-    pipeline in :func:`reduce_schedule_to_k_preemptive` runs exactly these
-    steps.
-    """
-    laminar = schedule if is_laminar(schedule) else laminarize(schedule)
-    forest, node_to_job = schedule_to_forest(laminar)
-    return laminar, forest, node_to_job
-
-
 def reduce_schedule_to_k_preemptive(
     schedule: Schedule,
     k: int,

@@ -51,6 +51,11 @@ __all__ = ["Gateway"]
 #: the exact solver's n = 30 frontier is a few kilobytes.
 MAX_BODY_BYTES = 1 << 20
 
+#: Most header lines one request may carry; the first line past it is
+#: answered 431 and the connection closed, so a client cannot stream
+#: headers without end.
+MAX_HEADER_LINES = 100
+
 _COUNTERS = (
     "admitted",
     "rejected",
@@ -524,12 +529,21 @@ class Gateway:
                         break
                     method, path, _version = parts
                     headers: Dict[str, str] = {}
-                    while True:
+                    for _ in range(MAX_HEADER_LINES + 1):
                         line = await reader.readline()
                         if line in (b"\r\n", b"\n", b""):
                             break
                         name, _, value = line.decode("latin-1").partition(":")
                         headers[name.strip().lower()] = value.strip()
+                    else:
+                        # No blank line within the cap: refuse and close
+                        # (this break leaves the keep-alive loop).
+                        await _write_response(
+                            writer, 431,
+                            {"error": f"more than {MAX_HEADER_LINES} header lines"},
+                            {}, False,
+                        )
+                        break
                 except ValueError:
                     # StreamReader.readline raises ValueError for a line
                     # longer than the stream limit (asyncio's 64 KiB).

@@ -1,4 +1,4 @@
-"""repro.serve — the batch solver service.
+"""repro.serve — the solver service.
 
 A synchronous-API, concurrently-executing front end over
 :func:`repro.api.solve_k_bounded` with canonical-instance caching, request

@@ -1,4 +1,4 @@
-"""LRU result cache for the batch solver service.
+"""LRU result cache for the solver service.
 
 A deliberately small, lock-free (the service serialises access under its
 own lock) LRU keyed by the canonical request key of

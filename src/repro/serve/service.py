@@ -1,4 +1,4 @@
-"""The batch solver service: submit many, solve once, answer fast.
+"""The solver service: one request per submit, cached, coalesced, answered fast.
 
 :class:`SolverService` fronts :func:`repro.api.solve_k_bounded` with the
 three amortisations a real workload needs (the same adversarial families,
@@ -41,7 +41,7 @@ Observability: every request runs under a private tracer whose spans
 (``serve.request`` wrapping the usual ``api.solve`` tree) and counters
 merge into the service's tracer — the one active when the service was
 constructed, or one passed explicitly.  Service counters are
-``serve.requests/hits/misses/coalesced/batched/degraded/evictions/retries/
+``serve.requests/hits/misses/coalesced/degraded/evictions/retries/
 timeouts/errors`` plus the store tier's
 ``store.hits/misses/writes/prewarmed``; :meth:`SolverService.stats`
 exposes the same numbers without any tracer.  See ``docs/SERVING.md`` for
@@ -55,33 +55,14 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
-from repro.api import SolveRequest, SolveResult, solve_k_bounded, solve_k_bounded_batch
+from repro.api import SolveRequest, SolveResult, solve_k_bounded
 from repro.obs.tracer import Tracer, current_tracer
 from repro.scheduling.job import JobSet
 from repro.serve.cache import LruCache
 
 __all__ = ["ServiceStats", "SolverService", "ServiceClosed"]
-
-#: Stat fields reported by :meth:`SolverService.stats`, all monotonic.
-_STAT_NAMES = (
-    "requests",
-    "hits",
-    "misses",
-    "coalesced",
-    "batched",
-    "degraded",
-    "evictions",
-    "retries",
-    "timeouts",
-    "errors",
-    "store_hits",
-    "store_misses",
-    "store_writes",
-    "store_prewarmed",
-)
-
 
 @dataclass(frozen=True)
 class ServiceStats:
@@ -98,7 +79,6 @@ class ServiceStats:
     hits: int = 0
     misses: int = 0
     coalesced: int = 0
-    batched: int = 0
     degraded: int = 0
     evictions: int = 0
     retries: int = 0
@@ -126,17 +106,15 @@ class ServiceStats:
         return cls(**totals)
 
 
+#: Stat fields reported by :meth:`SolverService.stats`, all monotonic: every
+#: :class:`ServiceStats` field except the two occupancy gauges.
+_STAT_NAMES = tuple(
+    f.name for f in fields(ServiceStats) if f.name not in ("cache_size", "inflight")
+)
+
+
 class ServiceClosed(RuntimeError):
     """Raised by :meth:`SolverService.submit` after :meth:`shutdown`."""
-
-
-def _require_request(fn_name: str, request) -> SolveRequest:
-    if not isinstance(request, SolveRequest):
-        raise TypeError(
-            f"SolverService.{fn_name}() expects a repro.api.SolveRequest, "
-            f"got {type(request).__name__}"
-        )
-    return request
 
 
 class SolverService:
@@ -243,11 +221,15 @@ class SolverService:
         validation errors raise here, in the caller's thread — only solver
         failures travel through the future.
         """
-        req = _require_request("submit", request)
-        key = req.key()
-        deadline_ms = (
-            req.deadline_ms if req.deadline_ms is not None else self._default_deadline_ms
-        )
+        if not isinstance(request, SolveRequest):
+            raise TypeError(
+                "SolverService.submit() expects a repro.api.SolveRequest, "
+                f"got {type(request).__name__}"
+            )
+        key = request.key()
+        deadline_ms = request.deadline_ms
+        if deadline_ms is None:
+            deadline_ms = self._default_deadline_ms
         with self._lock:
             if self._closed:
                 raise ServiceClosed("submit on a shut-down SolverService")
@@ -277,8 +259,8 @@ class SolverService:
             self._count_tracer("serve.misses")
         try:
             self._pool.submit(
-                self._run, key, fut, req.jobs, req.k, req.machines, req.method,
-                deadline_ms,
+                self._run, key, fut, request.jobs, request.k, request.machines,
+                request.method, deadline_ms,
             )
         except RuntimeError:
             # shutdown() won the race between our _closed check and the pool
@@ -296,123 +278,6 @@ class SolverService:
     ) -> SolveResult:
         """Blocking convenience wrapper around :meth:`submit`."""
         return self.submit(request).result(timeout=timeout)
-
-    def submit_batch(
-        self, requests: Iterable[SolveRequest]
-    ) -> "list[Future[SolveResult]]":
-        """Enqueue many :class:`SolveRequest`\\ s; returns futures in order.
-
-        Per request the cache/coalescing rules of :meth:`submit` apply
-        (duplicates *within* the batch coalesce too).  What remains — the
-        no-deadline cache misses — is grouped by ``(k, machines, method)``,
-        and every group of two or more compatible requests (``k >= 1``,
-        single machine, ``auto``/``combined`` method) is drained as *one*
-        batched solve through :func:`repro.api.solve_k_bounded_batch`, so
-        the whole group's schedule forests go through one cross-instance TM
-        kernel dispatch.  Singleton or incompatible misses dispatch as
-        ordinary requests; a request carrying a ``deadline_ms`` dispatches
-        through the single-request path (deadline degradation applies to it
-        alone — batched solves never degrade and every batched result is
-        cacheable).  Batched results are stamped with
-        ``metrics["served.batched"]``.
-        """
-        reqs = [_require_request("submit_batch", req) for req in requests]
-        futures: "list[Optional[Future[SolveResult]]]" = [None] * len(reqs)
-        groups: Dict[Tuple[int, int, str], list] = {}
-        deadline_indices: List[int] = []
-        batch_leaders: Dict[str, Future] = {}
-        with self._lock:
-            if self._closed:
-                raise ServiceClosed("submit_batch on a shut-down SolverService")
-            for idx, req in enumerate(reqs):
-                if req.deadline_ms is not None:
-                    # Deadline-bound requests take the single-request path
-                    # after the lock is released: they may degrade, so they
-                    # must not lead a batch (whose results are cached).
-                    deadline_indices.append(idx)
-                    continue
-                key = req.key()
-                self._stats["requests"] += 1
-                self._count_tracer("serve.requests")
-                cached = self._cache.get(key)
-                if cached is not None:
-                    self._stats["hits"] += 1
-                    self._count_tracer("serve.hits")
-                    done: "Future[SolveResult]" = Future()
-                    done.set_result(cached.with_metrics({"served.hit": 1.0}))
-                    futures[idx] = done
-                    continue
-                leader = batch_leaders.get(key)
-                if leader is not None:
-                    self._stats["coalesced"] += 1
-                    self._count_tracer("serve.coalesced")
-                    futures[idx] = leader
-                    continue
-                entry = self._inflight.get(key)
-                if entry is not None and entry[1] is None:
-                    # An in-flight full-pipeline solve: share its future.
-                    # (A deadline-bound leader may degrade; batch requests
-                    # want the full artifact, so they replace it below.)
-                    self._stats["coalesced"] += 1
-                    self._count_tracer("serve.coalesced")
-                    batch_leaders[key] = entry[0]
-                    futures[idx] = entry[0]
-                    continue
-                fut: "Future[SolveResult]" = Future()
-                self._inflight[key] = (fut, None)
-                self._stats["misses"] += 1
-                self._count_tracer("serve.misses")
-                batch_leaders[key] = fut
-                groups.setdefault((req.k, req.machines, req.method), []).append(
-                    (key, fut, req.jobs)
-                )
-                futures[idx] = fut
-        for (k_group, machines_group, method_group), group in groups.items():
-            batchable = (
-                machines_group == 1
-                and method_group in ("auto", "combined")
-                and k_group >= 1
-                and len(group) >= 2
-            )
-            if batchable:
-                with self._lock:
-                    self._stats["batched"] += len(group)
-                    self._count_tracer("serve.batched", len(group))
-                self._dispatch(
-                    self._run_batch, group, k_group, machines_group, method_group,
-                    futs=[fut for _, fut, _ in group], keys=[key for key, _, _ in group],
-                )
-            else:
-                for key, fut, jobs in group:
-                    self._dispatch(
-                        self._run, key, fut, jobs, k_group, machines_group,
-                        method_group, None,
-                        futs=[fut], keys=[key],
-                    )
-        for idx in deadline_indices:
-            futures[idx] = self.submit(reqs[idx])
-        return futures
-
-    def solve_batch(
-        self, requests: Iterable[SolveRequest], *, timeout: Optional[float] = None
-    ) -> "list[SolveResult]":
-        """Blocking convenience wrapper around :meth:`submit_batch`."""
-        futures = self.submit_batch(requests)
-        return [fut.result(timeout=timeout) for fut in futures]
-
-    def _dispatch(self, fn, *args, futs, keys) -> None:
-        """Submit work to the pool, resolving futures if shutdown races us."""
-        try:
-            self._pool.submit(fn, *args)
-        except RuntimeError:
-            with self._lock:
-                for key, fut in zip(keys, futs):
-                    self._drop_inflight(key, fut)
-            for fut in futs:
-                if not fut.done():
-                    fut.set_exception(
-                        ServiceClosed("service shut down while dispatching the request")
-                    )
 
     def stats(self) -> ServiceStats:
         """Snapshot of the service counters plus cache/in-flight occupancy.
@@ -465,20 +330,6 @@ class SolverService:
         except Exception:
             return 0
 
-    def _serve_store_hit(
-        self, key: str, fut: "Future[SolveResult]", stored: SolveResult
-    ) -> None:
-        """Resolve one request from the durable tier, promoting into the LRU."""
-        with self._lock:
-            evicted = self._cache.put(key, stored)
-            self._drop_inflight(key, fut)
-            self._stats["store_hits"] += 1
-            self._stats["evictions"] += evicted
-            self._count_tracer("store.hits")
-            if evicted:
-                self._count_tracer("serve.evictions", evicted)
-        fut.set_result(stored.with_metrics({"served.store_hit": 1.0}))
-
     def _run(
         self,
         key: str,
@@ -494,8 +345,17 @@ class SolverService:
             if stored is not None:
                 # The durable tier only holds full-pipeline artifacts, so a
                 # store hit satisfies deadline-bound and unbound requests
-                # alike — and is always faster than degrading.
-                self._serve_store_hit(key, fut, stored)
+                # alike — and is always faster than degrading.  It is
+                # promoted into the LRU.
+                with self._lock:
+                    evicted = self._cache.put(key, stored)
+                    self._drop_inflight(key, fut)
+                    self._stats["store_hits"] += 1
+                    self._stats["evictions"] += evicted
+                    self._count_tracer("store.hits")
+                    if evicted:
+                        self._count_tracer("serve.evictions", evicted)
+                fut.set_result(stored.with_metrics({"served.store_hit": 1.0}))
                 return
             with self._lock:
                 self._stats["store_misses"] += 1
@@ -564,102 +424,6 @@ class SolverService:
                     self._count_tracer("store.writes", wrote)
                 self._tracer.merge(tracer.export())
         fut.set_result(result)
-
-    def _run_batch(self, group, k: int, machines: int, method: str) -> None:
-        """Solve one compatible miss group with a single batched solve.
-
-        ``group`` is a list of ``(key, future, jobs)``.  No deadline applies
-        (batch submissions carry none), so nothing here degrades and every
-        result is cached.  A failure of the batched solve is retried once —
-        mirroring the no-deadline :meth:`_solve_with_deadline` contract —
-        and then fails *all* the group's futures.
-
-        With a store mounted, members found on disk are resolved as store
-        hits up front and only the remainder is batch-solved (the group was
-        already counted ``batched`` at submit time: the stat tracks requests
-        drained through the batch path, not kernel membership).
-        """
-        if self._store is not None:
-            remaining = []
-            for key, fut, jobs in group:
-                stored = self._store_get(key)
-                if stored is None:
-                    remaining.append((key, fut, jobs))
-                else:
-                    self._serve_store_hit(key, fut, stored)
-            if len(remaining) != len(group):
-                group = remaining
-            if group:
-                with self._lock:
-                    self._stats["store_misses"] += len(group)
-                    self._count_tracer("store.misses", len(group))
-            else:
-                return
-        tracer = Tracer()
-        retries = 0
-        try:
-            with tracer.activate():
-                with tracer.span(
-                    "serve.batch", requests=len(group), k=k, machines=machines,
-                    method=method,
-                ) as root:
-                    jobs_list = [jobs for _, _, jobs in group]
-                    try:
-                        results = solve_k_bounded_batch(
-                            jobs_list, k, machines=machines, method=method
-                        )
-                    except Exception:
-                        retries = 1
-                        results = solve_k_bounded_batch(
-                            jobs_list, k, machines=machines, method=method
-                        )
-                wall_ms = root.duration_ms
-        except BaseException as exc:
-            with self._lock:
-                for key, fut, _ in group:
-                    self._drop_inflight(key, fut)
-                self._stats["errors"] += len(group)
-                self._count_tracer("serve.errors", len(group))
-                if retries:
-                    self._stats["retries"] += retries
-                    self._count_tracer("serve.retries", retries)
-                if self._tracer is not None:
-                    self._tracer.merge(tracer.export())
-            for _, fut, _ in group:
-                fut.set_exception(exc)
-            return
-        stamped = [
-            result.with_metrics(
-                {
-                    "served.batched": 1.0,
-                    "served.degraded": 0.0,
-                    "served.wall_ms": float(wall_ms),
-                }
-            )
-            for result in results
-        ]
-        wrote = 0
-        for (key, _, _), result in zip(group, stamped):
-            wrote += self._store_put(key, result)
-        with self._lock:
-            evicted = 0
-            for (key, fut, _), result in zip(group, stamped):
-                evicted += self._cache.put(key, result)
-                self._drop_inflight(key, fut)
-            self._stats["evictions"] += evicted
-            self._stats["store_writes"] += wrote
-            if wrote:
-                self._count_tracer("store.writes", wrote)
-            if retries:
-                self._stats["retries"] += retries
-            if self._tracer is not None:
-                if evicted:
-                    self._count_tracer("serve.evictions", evicted)
-                if retries:
-                    self._count_tracer("serve.retries", retries)
-                self._tracer.merge(tracer.export())
-        for (_, fut, _), result in zip(group, stamped):
-            fut.set_result(result)
 
     def _solve_with_deadline(
         self,

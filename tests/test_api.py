@@ -31,17 +31,8 @@ def test_api_all_snapshot():
         "SolveResult",
         "request_key",
         "solve_k_bounded",
-        "solve_k_bounded_batch",
         "price_of_bounded_preemption",
     ]
-
-
-def test_solve_k_bounded_batch_signature_snapshot():
-    sig = inspect.signature(api.solve_k_bounded_batch)
-    assert str(sig) == (
-        "(jobs_list, k: 'int', *, machines: 'int' = 1, "
-        "method: 'str' = 'auto', enforce_laxity: 'bool' = True) -> 'list'"
-    )
 
 
 def test_solve_k_bounded_signature_snapshot():

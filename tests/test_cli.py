@@ -1,8 +1,13 @@
 """Unit tests for the CLI front end."""
 
+import json
+from dataclasses import fields
+
 import pytest
 
+from repro.analysis.config import CELL_REGISTRY
 from repro.cli import main
+from repro.serve.service import ServiceStats
 
 
 class TestList:
@@ -99,6 +104,69 @@ class TestFuzzErrorPaths:
         assert "served-vs-direct" in out
 
 
+class TestSweepErrorPaths:
+    """A bad sweep config is one ``repro-bench sweep: error:`` line on
+    stderr and exit 2, not a Python traceback."""
+
+    @pytest.mark.parametrize(
+        "text, needle",
+        [
+            ('{"cell": "bas_loss_random", "axes": {"n": [40]}, "repeat": 4}',
+             "unknown config keys ['repeat']"),
+            ('{"cell": "no_such_cell"}', "unknown cell 'no_such_cell'"),
+            ('{"cell": "bas_loss_random", "axes": {"n": 40}}', "'axes' must map"),
+            ('{"cell": "bas_loss_random", "axes": {"n": [40]},', "cfg.json: invalid JSON"),
+            ('["bas_loss_random"]', "must be a JSON object"),
+            ('{"cell": "bas_loss_random", "repeats": "4"}', "'repeats' must be an integer"),
+            ('{"cell": "bas_loss_random", "repeats": 0}', "'repeats' must be >= 1"),
+            ('{"cell": "bas_loss_random", "repeats": true}', "'repeats' must be an integer"),
+            ('{"cell": "bas_loss_random", "seed": -1}', "'seed' must be >= 0"),
+            ('{"cell": "bas_loss_random", "workers": 0}', "'workers' must be >= 1"),
+        ],
+        ids=["unknown-key", "unknown-cell", "non-list-axes", "invalid-json",
+             "non-object", "non-integer-repeats", "zero-repeats", "bool-repeats",
+             "negative-seed", "zero-workers"],
+    )
+    def test_bad_config_exits_2_with_one_line(self, capsys, tmp_path, text, needle):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["sweep", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro-bench sweep: error: ")
+        assert needle in lines[0]
+
+    def test_missing_file_exits_2(self, capsys, tmp_path):
+        missing = tmp_path / "nope.json"
+        assert main(["sweep", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-bench sweep: error: ") and "nope.json" in err
+
+    def test_zero_workers_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cell": "bas_loss_random", "axes": {"n": [30]}}))
+        assert main(["sweep", str(cfg), "--workers", "0"]) == 2
+        assert "--workers must be >= 1" in capsys.readouterr().err
+
+    def test_good_config_prints_table(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cell": "bas_loss_random", "axes": {"n": [30]}}))
+        assert main(["sweep", str(cfg)]) == 0
+        assert "sweep: bas_loss_random" in capsys.readouterr().out
+
+    def test_cell_exception_propagates(self, monkeypatch, tmp_path):
+        def boom(rng, x):
+            raise ValueError("cell failed mid-sweep")
+
+        monkeypatch.setitem(CELL_REGISTRY, "boom", boom)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cell": "boom", "axes": {"x": [1]}}))
+        with pytest.raises(ValueError, match="cell failed mid-sweep"):
+            main(["sweep", str(cfg)])
+
+
 class TestServeBench:
     def test_serve_bench_reports_speedup(self, capsys, tmp_path):
         out = tmp_path / "serve.json"
@@ -113,14 +181,13 @@ class TestServeBench:
         )
         text = capsys.readouterr().out
         assert "cached p50 speedup" in text
-        # The summary line reports every service counter, batched included.
-        assert "batched=" in text
-        import json
-
+        # The summary line reports the service counters.
+        for name in ("requests", "hits", "misses", "coalesced", "degraded", "evictions"):
+            assert f"{name}=" in text
         payload = json.loads(out.read_text())
         assert payload["requests"] == 60
         assert payload["stats"]["hits"] == 60
-        assert "batched" in payload["stats"]
+        assert set(payload["stats"]) == {f.name for f in fields(ServiceStats)}
         assert payload["cached_p50_ms"] > 0
         assert payload["p50_speedup"] > 1
 
@@ -160,8 +227,6 @@ class TestGatewayBench:
         assert "latency p50" in text
         assert "shard 0:" in text and "shard 1:" in text
         assert "disagreements=0" in text
-        import json
-
         payload = json.loads(out.read_text())
         assert payload["format"] == "repro-gateway-bench/1"
         assert payload["disagreements"] == 0

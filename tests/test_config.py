@@ -46,6 +46,11 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="axes"):
             load_config({"cell": "price_mixed", "axes": {"k": 3}})
 
+    def test_axes_default_to_one_cell(self):
+        cfg = load_config({"cell": "bas_loss_random"})
+        assert cfg["axes"] == {}
+        assert len(run_config(cfg).rows) == 1
+
     @pytest.mark.parametrize("key", ["repeat", "executor", "chunksize"])
     def test_unknown_key_rejected(self, key):
         # A typo such as "repeat" must not silently run one repeat, and the

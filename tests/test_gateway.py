@@ -29,7 +29,7 @@ from repro.gateway.bench import (
     _http_json_full,
     run_gateway_bench,
 )
-from repro.gateway.core import MAX_BODY_BYTES
+from repro.gateway.core import MAX_BODY_BYTES, MAX_HEADER_LINES
 from repro.instances import random_jobs
 
 
@@ -554,6 +554,45 @@ class TestLongLines:
         assert "error" in json.loads(body)
         assert after[0] == 200
         assert not [r for r in caplog.records if r.name == "asyncio"]
+
+
+class TestHeaderCount:
+    """Regression: the header loop had no cap, so a client could stream
+    header lines without end and hold the handler.  The first line past
+    ``MAX_HEADER_LINES`` now gets a 431 and a closed connection."""
+
+    def test_header_line_past_cap_gets_431_and_close(self):
+        head = b"GET /v1/healthz HTTP/1.1\r\n" + b"X-Pad: a\r\n" * (MAX_HEADER_LINES + 1)
+
+        async def scenario():
+            gateway = Gateway(shards=1, shard_factory=_inline_factory())
+            async with gateway:
+                # No blank line follows: the reply must not wait for one.
+                raw = await _raw_exchange(gateway.port, head)
+                after = await _http_json("127.0.0.1", gateway.port, "GET", "/v1/healthz")
+            return raw, after
+
+        raw, after = _run(scenario())
+        head_part, _, body = raw.partition(b"\r\n\r\n")
+        lines = head_part.decode("latin-1").split("\r\n")
+        assert lines[0] == "HTTP/1.1 431 Request Header Fields Too Large"
+        assert "Connection: close" in lines
+        assert str(MAX_HEADER_LINES) in json.loads(body)["error"]
+        assert after[0] == 200
+
+    def test_header_lines_at_cap_are_served(self):
+        head = (
+            b"GET /v1/healthz HTTP/1.1\r\n"
+            + b"X-Pad: a\r\n" * (MAX_HEADER_LINES - 1)
+            + b"Connection: close\r\n\r\n"
+        )
+
+        async def scenario():
+            gateway = Gateway(shards=1, shard_factory=_inline_factory())
+            async with gateway:
+                return await _raw_exchange(gateway.port, head)
+
+        assert _run(scenario()).startswith(b"HTTP/1.1 200 ")
 
 
 # ---------------------------------------------------------------------------

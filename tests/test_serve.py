@@ -1,4 +1,4 @@
-"""The batch solver service (repro.serve), end to end.
+"""The solver service (repro.serve), end to end.
 
 The tentpole proof is the stress test: 16 client threads fire 200 requests
 each over a 20-instance corpus through one shared service, and afterwards
@@ -144,10 +144,6 @@ class TestLruCache:
 
 def _corpus(count: int, n: int = 10, seed: int = 7):
     return [(random_jobs(n, seed=seed + i), 1 + i % 2) for i in range(count)]
-
-
-def _requests(corpus):
-    return [SolveRequest(jobs, k) for jobs, k in corpus]
 
 
 class TestServiceSemantics:
@@ -492,119 +488,6 @@ class TestServiceSemantics:
 
 
 # ---------------------------------------------------------------------------
-# batched submission (the cross-instance kernel drain)
-# ---------------------------------------------------------------------------
-
-
-class TestBatchSubmission:
-    def test_batch_equals_direct_solves(self):
-        corpus = _corpus(6)
-        direct = [solve_k_bounded(jobs, k) for jobs, k in corpus]
-        with SolverService(workers=2) as svc:
-            batch = svc.solve_batch(_requests(corpus))
-            stats = svc.stats()
-        for got, want in zip(batch, direct):
-            assert got.value == want.value
-            assert got.preemptions_used == want.preemptions_used
-            assert got.accepted_ids == want.accepted_ids
-            assert not got.degraded
-        # Both k-groups (k=1 and k=2, 3 instances each) drained batched.
-        assert stats.batched == 6 and stats.misses == 6
-
-    def test_batched_results_are_cached_and_stamped(self):
-        corpus = _corpus(4)
-        with SolverService(workers=2) as svc:
-            first = svc.solve_batch(_requests(corpus))
-            second = svc.solve_batch(_requests(corpus))
-            stats = svc.stats()
-        assert all(r.metrics.get("served.batched") == 1.0 for r in first)
-        assert all(r.metrics.get("served.hit") == 1.0 for r in second)
-        assert stats.hits == 4 and stats.misses == 4
-
-    def test_within_batch_duplicates_coalesce(self):
-        jobs, k = _corpus(1)[0]
-        other = random_jobs(10, seed=99)
-        with SolverService(workers=2) as svc:
-            futs = svc.submit_batch(
-                [SolveRequest(jobs, k), SolveRequest(jobs, k), SolveRequest(other, k)]
-            )
-            results = [f.result(timeout=60) for f in futs]
-            stats = svc.stats()
-        assert futs[0] is futs[1]
-        assert stats.coalesced == 1 and stats.misses == 2
-        assert results[0].value == results[1].value
-
-    def test_singleton_groups_dispatch_unbatched(self):
-        # Three distinct k values -> three singleton miss groups -> the
-        # ordinary per-request path, no batched stat.
-        corpus = [(random_jobs(10, seed=s), k) for s, k in ((1, 1), (2, 2), (3, 3))]
-        with SolverService(workers=2) as svc:
-            results = svc.solve_batch(_requests(corpus))
-            stats = svc.stats()
-        assert stats.batched == 0 and stats.misses == 3
-        for (jobs, k), got in zip(corpus, results):
-            assert got.value == solve_k_bounded(jobs, k).value
-
-    def test_mixed_k_batch_groups_correctly(self):
-        # Two k=1 requests batch together; the lone k=3 goes solo.
-        corpus = [
-            (random_jobs(10, seed=11), 1),
-            (random_jobs(10, seed=12), 1),
-            (random_jobs(10, seed=13), 3),
-        ]
-        with SolverService(workers=2) as svc:
-            results = svc.solve_batch(_requests(corpus))
-            stats = svc.stats()
-        assert stats.batched == 2
-        for (jobs, k), got in zip(corpus, results):
-            assert got.value == solve_k_bounded(jobs, k).value
-            verify_schedule(got.schedule, k=k).assert_ok()
-
-    def test_batch_validates_before_enqueueing(self):
-        jobs, _ = _corpus(1)[0]
-        with SolverService(workers=1) as svc:
-            with pytest.raises(ValueError):
-                svc.submit_batch([SolveRequest(jobs, -1)])
-            with pytest.raises(ValueError):
-                svc.submit_batch([SolveRequest(jobs, 1, machines=0)])
-            assert svc.stats().inflight == 0
-
-    def test_batch_failure_retries_once_then_fails_all(self):
-        corpus = _corpus(4, seed=31)
-        calls = []
-
-        def boom(jobs_list, k, **kw):
-            calls.append(len(jobs_list))
-            raise RuntimeError("batch kernel down")
-
-        with SolverService(workers=1) as svc:
-            import repro.serve.service as service_mod
-
-            original = service_mod.solve_k_bounded_batch
-            service_mod.solve_k_bounded_batch = boom
-            try:
-                futs = svc.submit_batch([SolveRequest(j, 1) for j, _ in corpus])
-                for fut in futs:
-                    with pytest.raises(RuntimeError, match="batch kernel down"):
-                        fut.result(timeout=60)
-            finally:
-                service_mod.solve_k_bounded_batch = original
-            stats = svc.stats()
-        assert calls == [4, 4]  # one retry of the whole group
-        assert stats.retries == 1 and stats.errors == 4
-
-    def test_tracer_counts_batched_requests(self):
-        from repro.obs.tracer import Tracer
-
-        corpus = _corpus(4, seed=41)
-        tracer = Tracer()
-        with SolverService(workers=2, tracer=tracer) as svc:
-            svc.solve_batch(_requests(corpus))
-        assert tracer.counters["serve.batched"] == 4
-        assert tracer.counters["serve.misses"] == 4
-
-
-# ---------------------------------------------------------------------------
 # the stress test (the tentpole's acceptance proof)
 # ---------------------------------------------------------------------------
 
@@ -725,8 +608,6 @@ class TestSolveRequestSurface:
                 svc.submit(jobs)
             with pytest.raises(TypeError):
                 svc.solve(jobs)
-            with pytest.raises(TypeError):
-                svc.submit_batch([(jobs, 1)])
             assert svc.stats().requests == 0
 
     def test_extra_args_alongside_request_raise(self, jobs):
@@ -736,42 +617,6 @@ class TestSolveRequestSurface:
                 svc.submit(req, 2)
             with pytest.raises(TypeError):
                 svc.solve(req, deadline_ms=50.0)
-            with pytest.raises(TypeError):
-                svc.submit_batch([req], method="combined")
-
-    def test_mixed_batch_spellings_raise(self, jobs):
-        with SolverService(workers=1) as svc:
-            with pytest.raises(TypeError):
-                svc.submit_batch([SolveRequest(jobs=jobs, k=1), (jobs, 2)])
-
-    def test_batch_of_requests_groups_by_parameters(self):
-        corpus = [random_jobs(8, seed=900 + i) for i in range(6)]
-        reqs = [SolveRequest(jobs=jobs, k=1) for jobs in corpus[:3]]
-        reqs += [SolveRequest(jobs=jobs, k=2) for jobs in corpus[3:]]
-        with SolverService(workers=2) as svc:
-            results = svc.solve_batch(reqs, timeout=60)
-            stats = svc.stats()
-        assert len(results) == 6
-        for req, result in zip(reqs, results):
-            assert result.value == solve_k_bounded(req.jobs, req.k).value
-            assert result.metrics.get("served.batched")
-        # Two (k, machines, method) groups of three, both batched.
-        assert stats.batched == 6
-
-    def test_deadline_requests_in_batch_take_single_path(self, jobs):
-        other = random_jobs(8, seed=950)
-        reqs = [
-            SolveRequest(jobs=jobs, k=1),
-            SolveRequest(jobs=other, k=1, deadline_ms=60_000.0),
-        ]
-        with SolverService(workers=2) as svc:
-            results = svc.solve_batch(reqs, timeout=60)
-            stats = svc.stats()
-        assert len(results) == 2
-        assert results[1].value == solve_k_bounded(other, 1).value
-        # The deadline request never joins a batch group.
-        assert stats.batched == 0
-        assert stats.misses == 2
 
     def test_validation_happens_in_request_construction(self, jobs):
         with pytest.raises(ValueError):
@@ -787,12 +632,9 @@ class TestSolveRequestSurface:
 
         assert names(SolverService.submit) == ["self", "request"]
         assert names(SolverService.solve) == ["self", "request", "timeout"]
-        assert names(SolverService.submit_batch) == ["self", "requests"]
-        assert names(SolverService.solve_batch) == ["self", "requests", "timeout"]
-        for fn in (SolverService.solve, SolverService.solve_batch):
-            timeout = inspect.signature(fn).parameters["timeout"]
-            assert timeout.kind is inspect.Parameter.KEYWORD_ONLY
-            assert timeout.default is None
+        timeout = inspect.signature(SolverService.solve).parameters["timeout"]
+        assert timeout.kind is inspect.Parameter.KEYWORD_ONLY
+        assert timeout.default is None
 
 
 class TestServiceStats:

@@ -311,26 +311,6 @@ class TestServiceTier:
         with ResultStore(root) as store:
             assert len(store) == 0
 
-    def test_batch_path_persists_and_restart_batch_hits_store(self, tmp_path):
-        root = str(tmp_path / "s")
-        reqs = [SolveRequest(jobs=random_jobs(8, seed=40 + i), k=1) for i in range(4)]
-        with SolverService(workers=2, store_path=root) as svc:
-            first = svc.solve_batch(reqs)
-            stats = svc.stats()
-        assert stats.store_writes == len(reqs)
-        assert all(r.metrics.get("served.batched") == 1.0 for r in first)
-        calls = []
-        with SolverService(
-            workers=2, store_path=root, prewarm=False, solve_fn=_counting_solve(calls)
-        ) as restarted:
-            second = restarted.solve_batch(reqs)
-            stats2 = restarted.stats()
-        assert calls == []
-        assert stats2.store_hits == len(reqs)
-        for a, b in zip(first, second):
-            assert b.metrics.get("served.store_hit") == 1.0
-            assert _result_bytes(a) == _result_bytes(b)
-
     def test_store_and_store_path_are_mutually_exclusive(self, tmp_path):
         with ResultStore(str(tmp_path / "s")) as store:
             with pytest.raises(TypeError, match="not both"):
