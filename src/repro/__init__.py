@@ -70,7 +70,7 @@ from repro.api import SolveResult, price_of_bounded_preemption, request_key, sol
 from repro.obs import JsonlSink, MemorySink, Tracer, TreeSink
 from repro.serve import SolverService
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 __all__ = [
     "Job",

@@ -706,7 +706,7 @@ def e12_strict_windows(
         P = float(jobs.length_ratio)
         lam_max = float(jobs.lambda_max)
         for k in k_values:
-            if not all(j.laxity <= k + 1 for j in jobs):
+            if not all(j.is_strict(k) for j in jobs):
                 continue  # the lemma only covers strict jobs
             trace = levelled_contraction(forest, k)
             layer_min_windows = []

@@ -40,6 +40,7 @@ the exact solvers and price bounds — see ``docs/TESTING.md``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Union
 
@@ -235,8 +236,10 @@ class SolveRequest:
             raise ValueError(f"unknown method {self.method!r} (want one of {METHODS})")
         if self.deadline_ms is not None:
             object.__setattr__(self, "deadline_ms", float(self.deadline_ms))
-            if self.deadline_ms <= 0:
-                raise ValueError(f"deadline_ms must be positive, got {self.deadline_ms}")
+            if not 0 < self.deadline_ms < math.inf:
+                raise ValueError(
+                    f"deadline_ms must be finite and positive, got {self.deadline_ms}"
+                )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SolveRequest):

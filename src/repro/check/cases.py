@@ -10,15 +10,18 @@ independent RNG stream per case (the same :func:`repro.utils.rng.spawn_rngs`
 contract the sweep harness uses), so adding cases or oracles never perturbs
 existing ones and every counterexample is replayable from ``(seed, index)``.
 
-Payloads are deliberately **integral** — integer releases, deadlines,
-lengths and values — so that cross-solver value comparisons are exact
-rather than tolerance games: the branch-and-bound, the Lawler DP, the
-unit-slot DFS and the assignment oracle all agree bit-for-bit on integral
-inputs when they are correct.
+Job values are always integers, so cross-solver value comparisons are
+exact: the branch-and-bound, the Lawler DP, the unit-slot DFS and the
+assignment oracle all agree bit-for-bit when they are correct.  Most job
+coordinates are integers too; a share of the cases (:data:`DECIMAL_SHARE`)
+writes them as one- or two-decimal floats instead, zero-slack windows and
+1-ulp neighbours included, so that every oracle also runs on the exact
+rationals :class:`~repro.scheduling.job.Job` reads such floats as.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict
 
@@ -33,10 +36,14 @@ from repro.scheduling.io import (
 )
 from repro.scheduling.job import Job, JobSet
 
-__all__ = ["Case", "DOMAINS", "generate_case", "case_to_dict", "case_from_dict"]
+__all__ = ["Case", "DOMAINS", "generate_case", "case_to_dict", "case_from_dict",
+           "has_fractional_coordinates"]
 
 #: The fuzzable domains, in generation order.
 DOMAINS = ("jobs", "forest", "sweep")
+
+#: Share of ``jobs`` cases whose coordinates are decimal floats.
+DECIMAL_SHARE = 0.25
 
 
 @dataclass(frozen=True)
@@ -62,16 +69,39 @@ class Case:
 # ---------------------------------------------------------------------------
 
 
+def _decimal_job(rng: np.random.Generator, i: int, v: int) -> Job:
+    """One job with ``q / 10`` or ``q / 100`` float coordinates.
+
+    The deadline is divided out from the integer sum, never added in
+    floats, so zero slack (a third of the draws) is exact; a fifth of the
+    deadlines move up 1 ulp.  Lengths stay >= 1, so the oracles' integral
+    derivations keep valid windows.
+    """
+    step = int(rng.choice([10, 100]))
+    r = int(rng.integers(0, 20 * step + 1))
+    p = int(rng.integers(step, 7 * step))
+    slack = 0 if rng.random() < 1 / 3 else int(rng.integers(1, 12 * step + 1))
+    deadline = (r + p + slack) / step
+    if rng.random() < 0.2:
+        deadline = math.nextafter(deadline, math.inf)
+    return Job(i, r / step, deadline, p / step, v)
+
+
 def _gen_jobs_case(rng: np.random.Generator) -> Case:
-    """Random integral job set: n in [2, 10], horizon <= ~40.
+    """Random job set: n in [2, 10], horizon <= ~40.
 
     Windows satisfy ``d - r = p + slack >= p`` by construction; values are
     integers in [1, 30] so density ties and value ties both occur — the
-    regime where tie-break bugs live.
+    regime where tie-break bugs live.  A :data:`DECIMAL_SHARE` of the cases
+    draws decimal-float coordinates (:func:`_decimal_job`).
     """
     n = int(rng.integers(2, 11))
+    decimal = rng.random() < DECIMAL_SHARE
     jobs = []
     for i in range(n):
+        if decimal:
+            jobs.append(_decimal_job(rng, i, int(rng.integers(1, 31))))
+            continue
         r = int(rng.integers(0, 21))
         p = int(rng.integers(1, 7))
         slack = int(rng.integers(0, 13))
@@ -80,6 +110,14 @@ def _gen_jobs_case(rng: np.random.Generator) -> Case:
     k = int(rng.integers(1, 4))
     machines = int(rng.integers(1, 4))
     return Case("jobs", JobSet(jobs), {"k": k, "machines": machines})
+
+
+def has_fractional_coordinates(case: Case) -> bool:
+    """Whether a ``jobs`` case has a release, deadline or length that is
+    not an integer."""
+    return case.domain == "jobs" and any(
+        type(x) is not int for j in case.payload for x in (j.release, j.deadline, j.length)
+    )
 
 
 def _gen_forest_case(rng: np.random.Generator) -> Case:

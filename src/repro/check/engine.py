@@ -35,6 +35,7 @@ from repro.check.cases import (
     case_from_dict,
     case_to_dict,
     generate_case,
+    has_fractional_coordinates,
 )
 from repro.check.oracles import ORACLES, Oracle, get_oracle, oracles_for_domain
 from repro.check.shrink import shrink_case
@@ -76,6 +77,7 @@ class FuzzReport:
 
     seed: int
     cases: int = 0
+    fractional_jobs_cases: int = 0
     oracle_runs: Dict[str, int] = field(default_factory=dict)
     disagreements: List[Disagreement] = field(default_factory=list)
     invariant_failures: List[str] = field(default_factory=list)
@@ -92,6 +94,9 @@ class FuzzReport:
         ]
         for name in sorted(self.oracle_runs):
             lines.append(f"  {name}: {self.oracle_runs[name]} runs")
+        lines.append(
+            f"  jobs cases with non-integer coordinates: {self.fractional_jobs_cases}"
+        )
         if self.invariant_failures:
             lines.append(f"INVARIANT FAILURES ({len(self.invariant_failures)}):")
             lines.extend(f"  {d}" for d in self.invariant_failures)
@@ -195,6 +200,7 @@ def run_fuzz(
             for idx in range(instances):
                 case = generate_case(domain, next(rngs))
                 report.cases += 1
+                report.fractional_jobs_cases += has_fractional_coordinates(case)
                 if tracer is not None:
                     tracer.count("check.cases")
                 for oracle in oracles:

@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.scheduling.job import Job, JobSet
 from repro.scheduling.schedule import Schedule
 from repro.scheduling.segment import Segment, drop_zero_length, merge_touching
-from repro.utils.numeric import eq, gt, leq
 
 
 def budget_edf_simulate(jobs: JobSet, k: int) -> Tuple[Schedule, List[int]]:
@@ -56,12 +55,12 @@ def budget_edf_simulate(jobs: JobSet, k: int) -> Tuple[Schedule, List[int]]:
     def start(jid: int, now) -> None:
         """Mark jid as running from `now`; opens a segment unless this
         continues its immediately-preceding slice."""
-        continues = bool(slices[jid]) and eq(slices[jid][-1][1], now)
+        continues = bool(slices[jid]) and slices[jid][-1][1] == now
         if not continues:
             segs_used[jid] += 1
 
     while True:
-        while i < n and leq(ordered[i].release, t):
+        while i < n and ordered[i].release <= t:
             job = ordered[i]
             heapq.heappush(ready, (job.deadline, job.id))
             i += 1
@@ -86,14 +85,14 @@ def budget_edf_simulate(jobs: JobSet, k: int) -> Tuple[Schedule, List[int]]:
         finish = t + remaining[running]
         next_release = ordered[i].release if i < n else None
         run_until = finish if next_release is None else min(finish, next_release)
-        if gt(run_until, t):
-            if slices[running] and eq(slices[running][-1][1], t):
+        if run_until > t:
+            if slices[running] and slices[running][-1][1] == t:
                 s0, _ = slices[running][-1]
                 slices[running][-1] = (s0, run_until)
             else:
                 slices[running].append((t, run_until))
             remaining[running] = remaining[running] - (run_until - t)
-        if not gt(finish, run_until):
+        if finish <= run_until:
             running = None  # completed (on time or not — judged below)
         t = run_until
 
@@ -101,11 +100,11 @@ def budget_edf_simulate(jobs: JobSet, k: int) -> Tuple[Schedule, List[int]]:
     ok: Dict[int, List[Segment]] = {}
     for j in ordered:
         jid = j.id
-        if gt(remaining[jid], 0):
+        if remaining[jid] > 0:
             missed.append(jid)
             continue
         merged = merge_touching(drop_zero_length(slices[jid]))
-        if not merged or gt(merged[-1].end, j.deadline) or len(merged) > k + 1:
+        if not merged or merged[-1].end > j.deadline or len(merged) > k + 1:
             missed.append(jid)
             continue
         ok[jid] = merged

@@ -42,8 +42,9 @@ def classify_jobs(jobs: JobSet, key: str, base: float) -> Dict[int, JobSet]:
     """Partition jobs into geometric classes of ``key`` with ratio ≤ base.
 
     Class ``c`` holds jobs whose key lies in
-    ``[key_min * base**c, key_min * base**(c+1))`` (boundary hits stay in
-    the lower class, as in :meth:`JobSet.length_classes`).
+    ``(key_min * base**c, key_min * base**(c+1)]``, and class 0 also
+    ``key_min`` itself (boundary hits stay in the lower class, as in
+    :meth:`JobSet.length_classes`).
     """
     if key not in CLASS_KEYS:
         raise ValueError(f"unknown classification key {key!r}; choose from {sorted(CLASS_KEYS)}")
@@ -54,15 +55,13 @@ def classify_jobs(jobs: JobSet, key: str, base: float) -> Dict[int, JobSet]:
     extract = CLASS_KEYS[key]
     k_min = min(extract(j) for j in jobs)
     classes: Dict[int, list] = {}
-    from repro.utils.numeric import eq, gt
-
     for job in jobs:
-        ratio = extract(job) / k_min
+        x = extract(job)
         c = 0
-        power = base
-        while gt(ratio, power) and not eq(ratio, power):
+        bound = k_min * base
+        while x > bound:
             c += 1
-            power = power * base
+            bound = bound * base
         classes.setdefault(c, []).append(job)
     return {c: JobSet(js) for c, js in sorted(classes.items())}
 
@@ -103,7 +102,7 @@ def classify_and_select(
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if base is None:
-        base = float(k + 1) if key == "length" and k >= 1 else 2.0
+        base = k + 1 if key == "length" and k >= 1 else 2
     if jobs.n == 0:
         empty = Schedule(jobs, {})
         return (empty, {}) if return_all_classes else empty

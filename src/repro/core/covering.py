@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from repro.scheduling.segment import Segment, merge_touching, sort_segments
-from repro.utils.numeric import geq, gt, leq, lt
 
 
 def double_cover(intervals: Sequence[Segment]) -> List[Segment]:
@@ -37,8 +36,8 @@ def double_cover(intervals: Sequence[Segment]) -> List[Segment]:
     for comp in components:
         # Intervals belonging to this component.
         members: List[Segment] = []
-        while idx < len(items) and leq(items[idx].start, comp.end):
-            if geq(items[idx].start, comp.start) or gt(items[idx].end, comp.start):
+        while idx < len(items) and items[idx].start <= comp.end:
+            if items[idx].start >= comp.start or items[idx].end > comp.start:
                 members.append(items[idx])
             idx += 1
         if not members:  # pragma: no cover - components come from the items
@@ -46,10 +45,10 @@ def double_cover(intervals: Sequence[Segment]) -> List[Segment]:
         # Greedy farthest-reach cover of [comp.start, comp.end).
         covered_to = comp.start
         j = 0
-        while lt(covered_to, comp.end):
+        while covered_to < comp.end:
             best = None
-            while j < len(members) and leq(members[j].start, covered_to):
-                if best is None or gt(members[j].end, best.end):
+            while j < len(members) and members[j].start <= covered_to:
+                if best is None or members[j].end > best.end:
                     best = members[j]
                 j += 1
             if best is None:  # pragma: no cover - union is connected
@@ -153,7 +152,7 @@ def lsa_busy_segment_floor(schedule, jobs) -> bool:
     if len(schedule) == 0:
         return True
     p_min = min(jobs[i].length for i in schedule.scheduled_ids)
-    return all(geq(seg.length, p_min) for seg in schedule.busy_segments())
+    return all(seg.length >= p_min for seg in schedule.busy_segments())
 
 
 def rejected_window_load(schedule, job) -> float:

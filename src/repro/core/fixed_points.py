@@ -24,14 +24,11 @@ from typing import Dict, List, Optional, Tuple
 from repro.scheduling.job import Job, JobSet
 from repro.scheduling.schedule import Schedule
 from repro.scheduling.segment import Segment, drop_zero_length, merge_touching
-from repro.utils.numeric import gt, is_exact, leq
 
 
 def _chunk_size(job: Job, k: int):
-    """Equal spacing: ``p_j / (k+1)``, exact when the length is exact."""
-    if is_exact(job.length):
-        return Fraction(job.length, k + 1)
-    return job.length / (k + 1)
+    """Equal spacing: ``p_j / (k+1)``, exact."""
+    return Fraction(job.length, k + 1)
 
 
 def fixed_point_simulate(jobs: JobSet, k: int) -> Tuple[Schedule, List[int]]:
@@ -58,7 +55,7 @@ def fixed_point_simulate(jobs: JobSet, k: int) -> Tuple[Schedule, List[int]]:
     t = ordered[0].release
 
     while i < n or ready:
-        while i < n and leq(ordered[i].release, t):
+        while i < n and ordered[i].release <= t:
             heapq.heappush(ready, (ordered[i].deadline, ordered[i].id))
             i += 1
         if not ready:
@@ -71,7 +68,7 @@ def fixed_point_simulate(jobs: JobSet, k: int) -> Tuple[Schedule, List[int]]:
         end = t + size
         slices[jid].append((t, end))
         remaining[jid] = remaining[jid] - size
-        if gt(remaining[jid], 0):
+        if remaining[jid] > 0:
             heapq.heappush(ready, (jobs[jid].deadline, jid))
         t = end
 
@@ -79,7 +76,7 @@ def fixed_point_simulate(jobs: JobSet, k: int) -> Tuple[Schedule, List[int]]:
     ok: Dict[int, List[Segment]] = {}
     for j in ordered:
         segs = merge_touching(drop_zero_length(slices[j.id]))
-        if not segs or gt(remaining[j.id], 0) or gt(segs[-1].end, j.deadline):
+        if not segs or remaining[j.id] > 0 or segs[-1].end > j.deadline:
             missed.append(j.id)
             continue
         assert len(segs) <= k + 1, "equal chunking cannot exceed the budget"

@@ -25,12 +25,11 @@ from repro.scheduling.job import Job, JobSet
 from repro.scheduling.schedule import Schedule
 from repro.scheduling.segment import Segment
 from repro.scheduling.timeline import Timeline, allocate_leftmost
-from repro.utils.numeric import geq, gt, leq
 
 
 def _check_lax(jobs: JobSet, k: int) -> None:
     for j in jobs:
-        if not geq(j.laxity, k + 1):
+        if j.window < (k + 1) * j.length:
             raise ValueError(
                 f"LSA requires lax jobs (λ >= k+1 = {k + 1}); job {j.id} has λ = {j.laxity}"
             )
@@ -102,7 +101,7 @@ def _place_job(tl: Timeline, job: Job, k: int, tracer=None) -> Optional[List[Seg
         while True:
             attempts += 1
             capacity = sum(s.length for s in S)
-            if geq(capacity, job.length):
+            if capacity >= job.length:
                 pieces = allocate_leftmost(sorted(S, key=lambda s: s.start), job.length)
                 assert pieces is not None and len(pieces) <= budget
                 return pieces

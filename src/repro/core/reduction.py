@@ -33,7 +33,6 @@ from repro.obs.tracer import current_tracer
 from repro.scheduling.laminar import is_laminar, laminarize
 from repro.scheduling.schedule import Schedule
 from repro.scheduling.segment import Segment, merge_touching
-from repro.utils.numeric import gt, leq
 
 
 def schedule_to_forest(schedule: Schedule) -> Tuple[Forest, List[int]]:
@@ -59,7 +58,7 @@ def schedule_to_forest(schedule: Schedule) -> Tuple[Forest, List[int]]:
     parents: List[int] = [-1] * len(hulls)
     stack: List[int] = []  # indices into hulls, innermost open hull on top
     for idx, (lo, hi, _job_id) in enumerate(hulls):
-        while stack and leq(hulls[stack[-1]][1], lo):
+        while stack and hulls[stack[-1]][1] <= lo:
             stack.pop()
         if stack:
             parents[idx] = stack[-1]
@@ -97,7 +96,7 @@ def forest_to_schedule(
         release = jobs[job_id].release
         start = release if cursor is None else max(cursor, release)
         # Compaction never pushes a slice later than it originally ran.
-        if gt(start, seg.start):  # pragma: no cover - violated only by infeasible input
+        if start > seg.start:  # pragma: no cover - violated only by infeasible input
             raise RuntimeError(
                 f"compaction would delay job {job_id} past its original slot; "
                 "was the input schedule feasible and laminar?"

@@ -397,7 +397,7 @@ class Gateway:
             )
         try:
             request = SolveRequest.from_wire(doc)
-        except (ValueError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError, KeyError, OverflowError) as exc:
             return 400, {"error": str(exc)}, {}
         shard_index = self.shard_for(request)
         self._count("sharded")

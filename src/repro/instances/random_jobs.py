@@ -8,6 +8,7 @@ a direct parameter.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -61,7 +62,12 @@ def random_jobs(
             v = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
         else:
             raise ValueError(f"unknown value model {value_model!r}")
-        jobs.append(Job(i, r, r + window, p, v))
+        # Job reads each float as its shortest decimal; adding the decimals
+        # exactly keeps d - r equal to the drawn window.  The float r + window
+        # rounds either way, so at laxity 1 it would make the job a hair lax
+        # or too short for its length.
+        d = Fraction(repr(r)) + Fraction(repr(window))
+        jobs.append(Job(i, r, d, p, v))
     return JobSet(jobs)
 
 

@@ -24,16 +24,17 @@ machinery that makes n ≈ 30 routine:
 * **upper bounds** — the classic suffix-value bound plus an integer-safe
   fractional-relaxation bound: remaining capacity ``span − v[0]`` filled
   in density order, counting the straddling job's full value (≥ the
-  fractional knapsack optimum, hence a valid bound, and division-free so
-  it stays exact for int/Fraction instances);
+  fractional knapsack optimum, hence a valid bound, and division-free);
 * **greedy incumbent** — density-order admission seeds ``best`` before
   the first node, so the bounds bite immediately.
 
-The search (:func:`_search`) handles int, Fraction and float coordinates:
-floats use the tolerant comparisons of :mod:`repro.utils.numeric`,
-mirroring the EDF oracle's semantics, and the fractional bound is only
-armed for exact instances, where pruning decisions cannot be perturbed by
-round-off.
+The search (:func:`_search`) runs on Python ints only.  Job coordinates
+are exact rationals (:class:`~repro.scheduling.job.Job` normalises them),
+so :class:`_Prep` multiplies every release, deadline and length by the LCM
+of their denominators — 1 on integer instances, 10^d on instances written
+with d decimals.  Scaling all of time by one positive constant changes no
+feasibility verdict.  Values keep their type; the fractional bound is
+armed only when they are exact, since it sums them.
 
 :func:`bitset_solve` is the entry point; :mod:`repro.scheduling.exact`
 wraps it with caching, tracing and the public ``Schedule`` contract.
@@ -43,10 +44,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from math import lcm
 from typing import Dict, List, Tuple
 
 from repro.scheduling.job import JobSet
-from repro.utils.numeric import is_exact, leq
+from repro.utils.numeric import is_exact
 
 __all__ = ["BitsetResult", "bitset_solve"]
 
@@ -60,36 +62,40 @@ _DOM_CAP = 1_000_000
 class BitsetResult:
     """Outcome of one bitset search."""
 
-    value: object  # int / Fraction / float — the instance's own arithmetic
+    value: object  # the sum of job values, in the values' own type
     ids: Tuple[int, ...]  # chosen job ids (original id space), sorted
     stats: Dict[str, int]  # nodes / pruned_* / infeasible_include
 
 
 class _Prep:
-    """Instance geometry in EDD order."""
+    """Instance geometry in EDD order, time scaled to integers."""
 
     __slots__ = (
         "n", "m", "ids", "rho", "lengths", "values", "limits", "suffix_v",
-        "suffix_p", "dens", "mr", "span", "releases", "coords_exact",
-        "exact",
+        "suffix_p", "dens", "mr", "span", "releases", "exact",
     )
 
     def __init__(self, jobs: JobSet):
         order = sorted(jobs, key=lambda j: (j.deadline, j.id))
         n = len(order)
-        releases = sorted({j.release for j in order})
+        scale = lcm(*(
+            x.denominator for j in order for x in (j.release, j.deadline, j.length)
+        ))
+        release_of = [int(j.release * scale) for j in order]
+        deadlines = [int(j.deadline * scale) for j in order]
+        releases = sorted(set(release_of))
         m = len(releases)
         self.n = n
         self.m = m
         self.releases = releases
         self.ids = [j.id for j in order]
-        self.rho = [bisect_left(releases, j.release) for j in order]
-        self.lengths = [j.length for j in order]
+        self.rho = [bisect_left(releases, r) for r in release_of]
+        self.lengths = [int(j.length * scale) for j in order]
         self.values = [j.value for j in order]
         # limits[i][t] = d_i − releases[t]: the demand-bound ceiling job i's
         # inclusion must respect at every release index t <= ρ_i.
         self.limits = [
-            [order[i].deadline - releases[t] for t in range(self.rho[i] + 1)]
+            [deadlines[i] - releases[t] for t in range(self.rho[i] + 1)]
             for i in range(n)
         ]
         suffix_v = [0] * (n + 1)
@@ -100,7 +106,7 @@ class _Prep:
         self.suffix_v = suffix_v
         self.suffix_p = suffix_p
         self.dens = sorted(
-            range(n), key=lambda i: (-(self.values[i] / self.lengths[i]), i)
+            range(n), key=lambda i: (-(self.values[i] / order[i].length), i)
         )
         # mr[i] = max ρ_j over the undecided suffix j >= i: capacity entries
         # beyond it can never be consulted again, so dominance keys stop
@@ -111,11 +117,8 @@ class _Prep:
             mx = max(mx, self.rho[i])
             mr[i] = mx
         self.mr = mr
-        self.span = max(j.deadline for j in order) - releases[0]
-        self.coords_exact = all(
-            is_exact(j.release, j.deadline, j.length) for j in order
-        )
-        self.exact = self.coords_exact and is_exact(*self.values)
+        self.span = max(deadlines) - releases[0] if n else 0
+        self.exact = is_exact(*self.values)
 
 
 def _edd_capacity_feasible(prep: _Prep, members: List[int]) -> bool:
@@ -125,14 +128,13 @@ def _edd_capacity_feasible(prep: _Prep, members: List[int]) -> bool:
     incumbent, whose density-order insertions are *not* EDD-ordered, so the
     incremental trick does not apply.  O(|members| · m).
     """
-    le = (lambda a, b: a <= b) if prep.coords_exact else leq
     v = [0] * prep.m
     for i in sorted(members):
         p = prep.lengths[i]
         lim = prep.limits[i]
         for t in range(prep.rho[i] + 1):
             v[t] += p
-            if not le(v[t], lim[t]):
+            if v[t] > lim[t]:
                 return False
     return True
 
@@ -155,7 +157,7 @@ def _greedy_incumbent(prep: _Prep):
 
 
 def _search(prep: _Prep, best_value, best_mask):
-    """The recursive search: exact for int/Fraction, tolerant for floats.
+    """The recursive search over the integer-scaled instance.
 
     Returns ``(best_value, best_mask, stats)``.  Dominance uses a dict keyed
     on ``(depth, relevant capacity prefix)`` — equal states collapse, and
@@ -173,7 +175,6 @@ def _search(prep: _Prep, best_value, best_mask):
     mr = prep.mr
     span = prep.span
     exact = prep.exact
-    le = (lambda a, b: a <= b) if prep.coords_exact else leq
 
     v = [0] * prep.m
     seen: Dict[tuple, object] = {}
@@ -192,7 +193,7 @@ def _search(prep: _Prep, best_value, best_mask):
             pruned_bound += 1
             return
         if exact:
-            # Fractional-relaxation bound, armed only when the arithmetic is
+            # Fractional-relaxation bound, armed only when the values are
             # exact (a float round-off here could prune a true optimum).
             cap = span - v[0]
             if cap < suffix_p[i]:
@@ -221,12 +222,11 @@ def _search(prep: _Prep, best_value, best_mask):
         lim = limits[i]
         ok = True
         for t in range(ri + 1):
-            if not le(v[t] + pi, lim[t]):
+            if v[t] + pi > lim[t]:
                 ok = False
                 break
         if ok:
-            # Include branch.  Save/restore the touched prefix rather than
-            # subtracting back — float addition is not reversible.
+            # Include branch; the touched prefix is restored afterwards.
             saved = v[: ri + 1]
             for t in range(ri + 1):
                 v[t] += pi

@@ -30,7 +30,6 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 from repro.scheduling.job import Job, JobSet
 from repro.scheduling.schedule import Schedule
 from repro.scheduling.segment import Segment, drop_zero_length, merge_touching
-from repro.utils.numeric import gt, leq, near_zero
 
 
 class EdfResult(NamedTuple):
@@ -71,7 +70,7 @@ def edf_schedule(jobs: JobSet, *, stop_on_miss: bool = True) -> EdfResult:
 
     while i < n or ready:
         # Admit everything released by now.
-        while i < n and leq(ordered[i].release, t):
+        while i < n and ordered[i].release <= t:
             heapq.heappush(ready, (ordered[i].deadline, ordered[i].id))
             i += 1
         if not ready:
@@ -83,13 +82,13 @@ def edf_schedule(jobs: JobSet, *, stop_on_miss: bool = True) -> EdfResult:
         finish = t + rem
         next_release = ordered[i].release if i < n else None
         run_until = finish if next_release is None else min(finish, next_release)
-        if gt(run_until, t):
+        if run_until > t:
             slices[job_id].append((t, run_until))
             remaining[job_id] = rem - (run_until - t)
-        if not gt(finish, run_until):
+        if finish <= run_until:
             # Job completed at run_until.
             heapq.heappop(ready)
-            if gt(run_until, deadline):
+            if run_until > deadline:
                 missed.append(job_id)
                 if stop_on_miss:
                     return EdfResult(Schedule(jobs, {}), False, tuple(missed))

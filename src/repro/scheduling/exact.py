@@ -36,7 +36,6 @@ from repro.scheduling.edf import edf_feasible, edf_feasible_cached, edf_schedule
 from repro.scheduling.job import Job, JobSet
 from repro.scheduling.schedule import Schedule
 from repro.scheduling.segment import Segment, drop_zero_length, merge_touching
-from repro.utils.numeric import is_exact
 
 
 def _branch_and_bound(jobs: JobSet):
@@ -124,12 +123,7 @@ def _solve_by_key(key):
     """Cached bitset solve: (value, accepted ids).
 
     Shared by :func:`opt_infty_exact` and :func:`opt_infty_value` — a single
-    cache entry per frozen instance, so the two can never disagree.  For
-    float instances the winning subset is certified with the EDF oracle
-    before being cached: the capacity-vector check and the EDF simulation
-    use the same tolerance but accumulate round-off differently, and on the
-    (rare) borderline disagreement the legacy search — whose feasibility
-    oracle *is* EDF — provides the answer instead.
+    cache entry per frozen instance, so the two can never disagree.
     """
     jobs = _jobs_from_key(key)
     result = bitset_solve(jobs)
@@ -140,9 +134,6 @@ def _solve_by_key(key):
         tracer.count("exact.pruned.bound", stats["pruned_bound"])
         tracer.count("exact.pruned.dominated", stats["pruned_dominated"])
         tracer.count("exact.pruned.infeasible", stats["infeasible_include"])
-    if result.ids and not is_exact(*(x for j in jobs for x in (j.release, j.deadline, j.length))):
-        if not edf_feasible(jobs.subset(result.ids)):  # pragma: no cover - tolerance edge
-            return _branch_and_bound(jobs)
     return result.value, result.ids
 
 
@@ -256,13 +247,11 @@ def opt_infty_auto(
 
 def _require_integral(jobs: JobSet) -> None:
     for j in jobs:
-        if not is_exact(j.release, j.deadline, j.length):
+        if not all(isinstance(x, int) for x in (j.release, j.deadline, j.length)):
             raise ValueError(
                 "opt_k_exact_small requires integer job coordinates "
                 f"(job {j.id} has {j.release}, {j.deadline}, {j.length})"
             )
-        if int(j.release) != j.release or int(j.deadline) != j.deadline or int(j.length) != j.length:
-            raise ValueError(f"job {j.id} coordinates are not integers")
 
 
 def k_feasible_subset_small(

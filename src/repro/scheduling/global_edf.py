@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.scheduling.job import Job, JobSet
 from repro.scheduling.segment import Segment, drop_zero_length, merge_touching
 from repro.scheduling.verify import FeasibilityReport
-from repro.utils.numeric import eq, geq, gt, leq
 
 
 @dataclass
@@ -79,21 +78,21 @@ def verify_migratory(schedule: MigratorySchedule) -> FeasibilityReport:
         for machine, seg in runs:
             if not (0 <= machine < schedule.machines):
                 violations.append(f"job {job_id}: invalid machine {machine}")
-            if not geq(seg.start, job.release) or not leq(seg.end, job.deadline):
+            if seg.start < job.release or seg.end > job.deadline:
                 violations.append(f"job {job_id}: run outside window")
             per_machine.setdefault(machine, []).append((seg, job_id))
             total = total + seg.length
-        if not eq(total, job.length):
+        if total != job.length:
             violations.append(f"job {job_id}: scheduled {total}, length {job.length}")
         # No self-parallelism: the job's own runs must be disjoint in time.
         ordered = sorted(runs, key=lambda x: (x[1].start, x[1].end))
         for (_, a), (_, b) in zip(ordered, ordered[1:]):
-            if not leq(a.end, b.start):
+            if a.end > b.start:
                 violations.append(f"job {job_id}: runs on two machines at once")
     for machine, segs in per_machine.items():
         segs.sort(key=lambda x: (x[0].start, x[0].end))
         for (a, ia), (b, ib) in zip(segs, segs[1:]):
-            if not leq(a.end, b.start):
+            if a.end > b.start:
                 violations.append(f"machine {machine}: jobs {ia} and {ib} overlap")
     return FeasibilityReport(feasible=not violations, violations=violations)
 
@@ -123,7 +122,7 @@ def global_edf_schedule(jobs: JobSet, machines: int) -> Tuple[MigratorySchedule,
     last_machine: Dict[int, int] = {}
 
     while i < n or pending:
-        while i < n and leq(ordered[i].release, t):
+        while i < n and ordered[i].release <= t:
             heapq.heappush(pending, (ordered[i].deadline, ordered[i].id))
             i += 1
         if not pending:
@@ -139,7 +138,7 @@ def global_edf_schedule(jobs: JobSet, machines: int) -> Tuple[MigratorySchedule,
         next_release = ordered[i].release if i < n else None
         earliest_finish = min(t + remaining[jid] for _, jid in selected)
         run_until = earliest_finish if next_release is None else min(earliest_finish, next_release)
-        if not gt(run_until, t):
+        if run_until <= t:
             run_until = earliest_finish  # zero-length guard: finish something
         # Sticky machine assignment: a selected job keeps its previous
         # machine when possible; remaining jobs fill the spare machines.
@@ -157,12 +156,12 @@ def global_edf_schedule(jobs: JobSet, machines: int) -> Tuple[MigratorySchedule,
         # Record the runs.
         for d, jid in selected:
             m = assignment[jid]
-            if gt(run_until, t):
+            if run_until > t:
                 runs[jid].append((m, Segment(t, run_until)))
             remaining[jid] = remaining[jid] - (run_until - t)
             last_machine[jid] = m
-            if leq(remaining[jid], 0) and not gt(remaining[jid], 0):
-                if gt(run_until, d):
+            if remaining[jid] <= 0:
+                if run_until > d:
                     missed.append(jid)
             else:
                 heapq.heappush(pending, (d, jid))
@@ -173,7 +172,7 @@ def global_edf_schedule(jobs: JobSet, machines: int) -> Tuple[MigratorySchedule,
     # Also treat never-finished jobs as missed (cannot happen: EDF always
     # finishes work eventually since windows are finite — but guard anyway).
     for jid, rem in remaining.items():
-        if gt(rem, 0):
+        if rem > 0:
             missed_set.add(jid)
 
     ok_runs = {}
@@ -182,7 +181,7 @@ def global_edf_schedule(jobs: JobSet, machines: int) -> Tuple[MigratorySchedule,
             continue
         merged: List[Tuple[int, Segment]] = []
         for m, seg in sorted(rr, key=lambda x: (x[1].start, x[1].end)):
-            if merged and merged[-1][0] == m and eq(merged[-1][1].end, seg.start):
+            if merged and merged[-1][0] == m and merged[-1][1].end == seg.start:
                 merged[-1] = (m, Segment(merged[-1][1].start, seg.end))
             else:
                 merged.append((m, seg))

@@ -11,19 +11,25 @@ are phrased in:
 * ``sigma``    — ratio of maximal to minimal density (Section 1.4),
 * ``lambda_max`` — maximal relative laxity (Definition 4.4).
 
-Time coordinates may be ``int``, ``float`` or :class:`fractions.Fraction`;
-exact coordinates flow through the whole pipeline without rounding, which is
-what makes the zero-slack lower-bound instances verifiable.
+:class:`Job` is the one place numbers enter the model.  ``release``,
+``deadline`` and ``length`` become exact rationals: an ``int`` (or a
+``Fraction`` with denominator 1) is an ``int``, and a ``float`` is read as
+its shortest decimal text, so JSON ``3.7`` is ``37/10``.  NaN and ±inf are
+rejected.  Everything downstream compares time with plain operators, so no
+verdict depends on a tolerance.  Note that ``0.7 + 0.1`` is the float
+``0.7999999999999999``, too short for length ``0.1``: build zero-slack
+windows from ints or Fractions.  ``value`` keeps its type and must be
+finite and positive.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral, Real
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
-
-from repro.utils.numeric import geq, gt, leq
 
 
 def _canonical_number(x) -> str:
@@ -37,27 +43,50 @@ def _canonical_number(x) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
+def _exact_coordinate(x, job_id, name):
+    """``x`` as an exact rational: ``int`` when integral, else ``Fraction``."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        f = x
+    elif isinstance(x, Integral):
+        return int(x)
+    elif isinstance(x, Real):
+        x = float(x)
+        if not math.isfinite(x):
+            raise ValueError(f"job {job_id}: {name} must be finite, got {x}")
+        f = Fraction(repr(x))
+    else:
+        raise TypeError(f"job {job_id}: {name} must be a real number, got {type(x).__name__}")
+    return f.numerator if f.denominator == 1 else f
+
+
 @dataclass(frozen=True)
 class Job:
     """One job ``⟨r, d, p, value⟩`` with a stable integer identifier.
 
-    Invariants enforced at construction: positive length and value, and a
-    window at least as long as the job (``d - r >= p``) — a narrower window
-    can never be scheduled and is almost always a generator bug.
+    Construction makes the time coordinates exact (module docstring) and
+    enforces positive length, finite positive value, and a window at least
+    as long as the job (``d - r >= p``) — a narrower window can never be
+    scheduled and is almost always a generator bug.
     """
 
     id: int
-    release: float
-    deadline: float
-    length: float
-    value: float = 1.0
+    release: object
+    deadline: object
+    length: object
+    value: object = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("release", "deadline", "length"):
+            object.__setattr__(
+                self, name, _exact_coordinate(getattr(self, name), self.id, name)
+            )
         if self.length <= 0:
             raise ValueError(f"job {self.id}: length must be positive, got {self.length}")
-        if self.value <= 0:
-            raise ValueError(f"job {self.id}: value must be positive, got {self.value}")
-        if not geq(self.deadline - self.release, self.length):
+        if not 0 < self.value < math.inf:
+            raise ValueError(f"job {self.id}: value must be finite and positive, got {self.value}")
+        if self.deadline - self.release < self.length:
             raise ValueError(
                 f"job {self.id}: window [{self.release}, {self.deadline}] is shorter "
                 f"than length {self.length}"
@@ -83,9 +112,9 @@ class Job:
 
         The strict/lax partition is how Algorithm 3 (k-PreemptionCombined)
         routes jobs: strict jobs go through the k-BAS reduction, lax jobs
-        through LSA_CS.
+        through LSA_CS.  Cross-multiplied, so the test is exact.
         """
-        return leq(self.laxity, k + 1)
+        return self.window <= (k + 1) * self.length
 
     def shifted(self, dt) -> "Job":
         """A copy of the job with both window endpoints translated by ``dt``."""
@@ -264,28 +293,26 @@ class JobSet:
     def length_classes(self, base) -> Dict[int, "JobSet"]:
         """Partition jobs into geometric length classes (Classify step).
 
-        Class ``c`` holds jobs with ``p_min * base**c <= p_j < p_min *
-        base**(c+1)`` (the paper's indexing in Algorithm 2 is 1-based with
-        closed boundaries; half-open classes make the partition exact while
+        Class ``c`` holds jobs with ``p_min * base**c < p_j <= p_min *
+        base**(c+1)``, and class 0 also ``p_min`` itself (the paper's
+        indexing in Algorithm 2 is 1-based with closed boundaries; sending
+        a boundary hit to the lower class makes the partition exact while
         preserving the property ``P(J_c) <= base`` the analysis needs).
         """
         if base <= 1:
             raise ValueError(f"class base must exceed 1, got {base}")
         if not self._jobs:
             return {}
-        from repro.utils.numeric import eq
-
         p_min = self.p_min
         classes: Dict[int, List[Job]] = {}
         for job in self._jobs:
-            ratio = job.length / p_min
             c = 0
-            power = base
-            # Advance while ratio >= base**(c+1); an exact boundary hit stays
-            # in the lower class, keeping the intra-class ratio <= base.
-            while gt(ratio, power) and not eq(ratio, power):
+            bound = p_min * base
+            # Advance while p_j > p_min * base**(c+1); an exact boundary hit
+            # stays in the lower class, keeping the intra-class ratio <= base.
+            while job.length > bound:
                 c += 1
-                power = power * base
+                bound = bound * base
             classes.setdefault(c, []).append(job)
         return {c: JobSet(js) for c, js in sorted(classes.items())}
 

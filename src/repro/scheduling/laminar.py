@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.scheduling.edf import edf_schedule
 from repro.scheduling.schedule import Schedule
 from repro.scheduling.segment import Segment, merge_touching, sort_segments
-from repro.utils.numeric import gt, leq
 
 
 def is_laminar(schedule: Schedule) -> bool:
@@ -44,9 +43,9 @@ def is_laminar(schedule: Schedule) -> bool:
     hulls.sort(key=lambda h: (h[0], -h[1]))
     stack: List[Tuple[float, float]] = []
     for lo, hi, _ in hulls:
-        while stack and leq(stack[-1][1], lo):
+        while stack and stack[-1][1] <= lo:
             stack.pop()
-        if stack and gt(hi, stack[-1][1]):
+        if stack and hi > stack[-1][1]:
             # Partial overlap: starts inside the top hull but ends outside.
             return False
         stack.append((lo, hi))
@@ -86,9 +85,9 @@ def _interleaving_pair(schedule: Schedule) -> Optional[Tuple[int, int]]:
     hulls.sort(key=lambda h: (h[0], -h[1]))
     stack: List[Tuple[float, float, int]] = []
     for lo, hi, job_id in hulls:
-        while stack and leq(stack[-1][1], lo):
+        while stack and stack[-1][1] <= lo:
             stack.pop()
-        if stack and gt(hi, stack[-1][1]):
+        if stack and hi > stack[-1][1]:
             return stack[-1][2], job_id
         stack.append((lo, hi, job_id))
     return None
@@ -127,11 +126,11 @@ def laminarize_local(schedule: Schedule, *, max_rounds: Optional[int] = None) ->
         new_a: List[Segment] = []
         new_b: List[Segment] = []
         for slot in pool:
-            if gt(a_need, 0):
+            if a_need > 0:
                 take = min(slot.length, a_need)
                 new_a.append(Segment(slot.start, slot.start + take))
                 a_need = a_need - take
-                if gt(slot.length, take):
+                if slot.length > take:
                     new_b.append(Segment(slot.start + take, slot.end))
             else:
                 new_b.append(slot)

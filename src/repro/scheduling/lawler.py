@@ -22,7 +22,6 @@ from repro.scheduling.job import Job, JobSet
 from repro.scheduling.schedule import Schedule
 from repro.scheduling.segment import Segment
 from repro.scheduling.timeline import Timeline, leftmost_fit_single
-from repro.utils.numeric import eq, geq, is_exact, leq
 
 
 def _common_release(jobs: JobSet):
@@ -53,7 +52,7 @@ def moore_hodgson(jobs: JobSet) -> Schedule:
         accepted[job.id] = job
         heapq.heappush(accepted_heap, (_neg(job.length), job.id))
         completion = completion + job.length
-        if not leq(completion, job.deadline):
+        if completion > job.deadline:
             # Evict the longest accepted job — optimal by the standard
             # exchange argument (it frees the most time while costing one
             # unit of cardinality, the same as any other eviction).
@@ -92,7 +91,7 @@ def lawler_moore_weighted(jobs: JobSet) -> Schedule:
     if jobs.n == 0:
         return Schedule(jobs, {})
     for j in jobs:
-        if not is_exact(j.length) or int(j.length) != j.length:
+        if not isinstance(j.length, int):
             raise ValueError(f"lawler_moore_weighted requires integer lengths (job {j.id})")
     r0 = _common_release(jobs)
     order = sorted(jobs, key=lambda j: (j.deadline, j.id))

@@ -36,7 +36,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.scheduling.edf import edf_schedule
 from repro.scheduling.job import Job, JobSet
 from repro.scheduling.schedule import Schedule
-from repro.utils.numeric import leq
 
 
 class _State:
@@ -95,7 +94,7 @@ def lawler_optimal_value(jobs: JobSet, *, max_states: Optional[int] = 200_000):
             ok = True
             for t in range(rho + 1):
                 vec[t] = vec[t] + job.length
-                if not leq(vec[t], d - releases[t]):
+                if vec[t] > d - releases[t]:
                     ok = False
                     break
             if ok:
@@ -127,7 +126,7 @@ def lawler_optimal_schedule(jobs: JobSet, *, max_states: Optional[int] = 200_000
             ok = True
             for t in range(rho + 1):
                 vec[t] = vec[t] + job.length
-                if not leq(vec[t], d - releases[t]):
+                if vec[t] > d - releases[t]:
                     ok = False
                     break
             if ok:
@@ -157,6 +156,6 @@ def demand_bound_feasible(jobs: JobSet) -> bool:
             if d <= r:
                 continue
             demand = sum(j.length for j in items if j.release >= r and j.deadline <= d)
-            if not leq(demand, d - r):
+            if demand > d - r:
                 return False
     return True

@@ -32,7 +32,6 @@ from repro.scheduling.edf import edf_feasible
 from repro.scheduling.job import Job, JobSet
 from repro.scheduling.schedule import Schedule
 from repro.scheduling.segment import Segment, drop_zero_length, merge_touching
-from repro.utils.numeric import gt, leq
 
 
 def _residual_feasible(now, active: Dict[int, Tuple[Job, object]]) -> bool:
@@ -45,7 +44,7 @@ def _residual_feasible(now, active: Dict[int, Tuple[Job, object]]) -> bool:
     """
     residual = []
     for i, (job, remaining) in enumerate(active.values()):
-        if gt(remaining, 0):
+        if remaining > 0:
             residual.append(Job(i, now, job.deadline, remaining, 1.0))
     if not residual:
         return True
@@ -70,7 +69,7 @@ def _simulate(
     t = ordered[0].release
 
     while i < n or active:
-        while i < n and leq(ordered[i].release, t):
+        while i < n and ordered[i].release <= t:
             job = ordered[i]
             i += 1
             if on_release(t, job, active):
@@ -91,12 +90,12 @@ def _simulate(
         finish = t + remaining
         next_release = ordered[i].release if i < n else None
         run_until = finish if next_release is None else min(finish, next_release)
-        if gt(run_until, t):
+        if run_until > t:
             slices[run_id].append((t, run_until))
             active[run_id] = (job, remaining - (run_until - t))
-        if not gt(finish, run_until):
+        if finish <= run_until:
             del active[run_id]
-            if leq(run_until, job.deadline):
+            if run_until <= job.deadline:
                 completed.add(run_id)
         t = run_until
 

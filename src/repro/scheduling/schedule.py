@@ -21,7 +21,6 @@ from repro.scheduling.segment import (
     sort_segments,
     total_length,
 )
-from repro.utils.numeric import leq
 
 
 class Schedule:

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
-from repro.utils.numeric import eq, geq, gt, leq, lt, near_zero
 
 
 @dataclass(frozen=True, order=True)
@@ -27,7 +26,7 @@ class Segment:
     end: float
 
     def __post_init__(self) -> None:
-        if not gt(self.end, self.start):
+        if self.end <= self.start:
             raise ValueError(f"segment [{self.start}, {self.end}) must have positive length")
 
     @property
@@ -37,37 +36,37 @@ class Segment:
     def precedes(self, other: "Segment") -> bool:
         """The ``≺`` relation of Section 2.2: this segment ends no later than
         ``other`` starts."""
-        return leq(self.end, other.start)
+        return self.end <= other.start
 
     def overlaps(self, other: "Segment") -> bool:
         """Whether the two segments share an interval of positive length."""
-        return lt(max(self.start, other.start), min(self.end, other.end))
+        return max(self.start, other.start) < min(self.end, other.end)
 
     def contains_point(self, t) -> bool:
-        return leq(self.start, t) and lt(t, self.end)
+        return self.start <= t < self.end
 
     def contains(self, other: "Segment") -> bool:
         """Whether ``other`` lies entirely inside this segment."""
-        return leq(self.start, other.start) and geq(self.end, other.end)
+        return self.start <= other.start and self.end >= other.end
 
     def intersect(self, other: "Segment"):
         """The overlap of two segments, or ``None`` if it has zero length."""
         s = max(self.start, other.start)
         e = min(self.end, other.end)
-        if gt(e, s):
+        if e > s:
             return Segment(s, e)
         return None
 
     def clip(self, lo, hi):
         """The part of the segment inside ``[lo, hi)``, or ``None``."""
-        return self.intersect(Segment(lo, hi)) if gt(hi, lo) else None
+        return self.intersect(Segment(lo, hi)) if hi > lo else None
 
     def shifted(self, dt) -> "Segment":
         return Segment(self.start + dt, self.end + dt)
 
     def touches(self, other: "Segment") -> bool:
         """Whether the segments are adjacent (end of one equals start of the other)."""
-        return eq(self.end, other.start) or eq(other.end, self.start)
+        return self.end == other.start or other.end == self.start
 
 
 def total_length(segments: Iterable[Segment]):
@@ -89,7 +88,7 @@ def merge_touching(segments: Iterable[Segment]) -> List[Segment]:
     """
     out: List[Segment] = []
     for seg in sort_segments(segments):
-        if out and geq(out[-1].end, seg.start):
+        if out and out[-1].end >= seg.start:
             last = out[-1]
             out[-1] = Segment(last.start, max(last.end, seg.end))
         else:
@@ -100,7 +99,7 @@ def merge_touching(segments: Iterable[Segment]) -> List[Segment]:
 def disjoint(segments: Sequence[Segment]) -> bool:
     """Whether a collection of segments is pairwise disjoint."""
     ordered = sort_segments(segments)
-    return all(leq(a.end, b.start) for a, b in zip(ordered, ordered[1:]))
+    return all(a.end <= b.start for a, b in zip(ordered, ordered[1:]))
 
 
 def complement_within(segments: Sequence[Segment], lo, hi) -> List[Segment]:
@@ -110,7 +109,7 @@ def complement_within(segments: Sequence[Segment], lo, hi) -> List[Segment]:
     dropped.  This is the primitive behind the busy/idle decomposition used
     throughout Section 4.3.
     """
-    if not gt(hi, lo):
+    if hi <= lo:
         return []
     gaps: List[Segment] = []
     cursor = lo
@@ -118,10 +117,10 @@ def complement_within(segments: Sequence[Segment], lo, hi) -> List[Segment]:
         clipped = seg.clip(lo, hi)
         if clipped is None:
             continue
-        if gt(clipped.start, cursor):
+        if clipped.start > cursor:
             gaps.append(Segment(cursor, clipped.start))
         cursor = max(cursor, clipped.end)
-    if gt(hi, cursor):
+    if hi > cursor:
         gaps.append(Segment(cursor, hi))
     return gaps
 
@@ -142,6 +141,6 @@ def drop_zero_length(segments: Iterable[Tuple]) -> List[Segment]:
     """Build segments from raw (start, end) pairs, discarding empty ones."""
     out = []
     for s, e in segments:
-        if not near_zero(e - s) and gt(e, s):
+        if e > s:
             out.append(Segment(s, e))
     return out

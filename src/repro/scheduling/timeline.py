@@ -22,7 +22,6 @@ from bisect import bisect_left, bisect_right, insort
 from typing import Iterable, List, Optional, Tuple
 
 from repro.scheduling.segment import Segment, complement_within, merge_touching
-from repro.utils.numeric import eq, geq, gt, leq, lt
 
 
 class Timeline:
@@ -57,7 +56,7 @@ class Timeline:
         (Algorithm 2, line 12): the complement of the busy set within the
         window, clipped to it.
         """
-        if not gt(hi, lo):
+        if hi <= lo:
             return []
         return complement_within(self._busy, lo, hi)
 
@@ -74,7 +73,7 @@ class Timeline:
         """Fraction of ``[lo, hi)`` that is busy — the ``b_0``-loadedness of
         Lemma 4.12."""
         width = hi - lo
-        if not gt(width, 0):
+        if width <= 0:
             return 0
         return sum(s.length for s in self.busy_in(lo, hi)) / width
 
@@ -113,13 +112,13 @@ def allocate_leftmost(
     for idle in idles:
         if max_pieces is not None and len(pieces) >= max_pieces:
             break
-        if leq(remaining, 0):
+        if remaining <= 0:
             break
         take = min(idle.length, remaining)
-        if gt(take, 0):
+        if take > 0:
             pieces.append(Segment(idle.start, idle.start + take))
             remaining = remaining - take
-    if gt(remaining, 0):
+    if remaining > 0:
         return None
     return pieces
 
@@ -131,6 +130,6 @@ def leftmost_fit_single(idles: List[Segment], length) -> Optional[Segment]:
     returns the placement (anchored at the interval's left end) or ``None``.
     """
     for idle in idles:
-        if geq(idle.length, length):
+        if idle.length >= length:
             return Segment(idle.start, idle.start + length)
     return None

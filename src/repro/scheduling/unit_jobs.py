@@ -24,16 +24,13 @@ from scipy.optimize import linear_sum_assignment
 from repro.scheduling.job import JobSet
 from repro.scheduling.schedule import Schedule
 from repro.scheduling.segment import Segment
-from repro.utils.numeric import is_exact
 
 
 def _require_unit_integral(jobs: JobSet) -> None:
     for j in jobs:
         if j.length != 1:
             raise ValueError(f"job {j.id} has length {j.length}; unit-length required")
-        if not is_exact(j.release, j.deadline) or int(j.release) != j.release or int(
-            j.deadline
-        ) != j.deadline:
+        if not isinstance(j.release, int) or not isinstance(j.deadline, int):
             raise ValueError(f"job {j.id} needs integral release/deadline")
 
 

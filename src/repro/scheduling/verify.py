@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.scheduling.schedule import MultiMachineSchedule, Schedule
-from repro.utils.numeric import eq, geq, leq
 
 
 @dataclass
@@ -59,17 +58,17 @@ def verify_schedule(
         job = jobs[job_id]
         # (a) window containment — every segment inside [r_j, d_j].
         for seg in segs:
-            if not geq(seg.start, job.release):
+            if seg.start < job.release:
                 report(f"job {job_id}: segment starts {seg.start} before release {job.release}")
-            if not leq(seg.end, job.deadline):
+            if seg.end > job.deadline:
                 report(f"job {job_id}: segment ends {seg.end} after deadline {job.deadline}")
         # (a) per-job disjointness (segments are sorted by construction).
         for a, b in zip(segs, segs[1:]):
-            if not leq(a.end, b.start):
+            if a.end > b.start:
                 report(f"job {job_id}: segments [{a.start},{a.end}) and [{b.start},{b.end}) overlap")
         # (a) exact processing volume.
         scheduled = sum(s.length for s in segs)
-        if not eq(scheduled, job.length):
+        if scheduled != job.length:
             report(
                 f"job {job_id}: scheduled {scheduled} time units, length is {job.length}"
             )
@@ -82,7 +81,7 @@ def verify_schedule(
     # (b) machine exclusivity: global sweep over all segments.
     flat = schedule.all_segments()
     for (seg_a, id_a), (seg_b, id_b) in zip(flat, flat[1:]):
-        if id_a != id_b and not leq(seg_a.end, seg_b.start):
+        if id_a != id_b and seg_a.end > seg_b.start:
             report(
                 f"jobs {id_a} and {id_b} overlap on "
                 f"[{seg_b.start}, {min(seg_a.end, seg_b.end)})"

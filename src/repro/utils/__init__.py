@@ -1,21 +1,14 @@
-"""Shared low-level utilities: numeric tolerance handling, logarithm helpers,
+"""Shared low-level utilities: the exactness test, logarithm helpers,
 deterministic RNG construction, and small functional helpers.
 
-Everything in :mod:`repro` that compares time coordinates goes through the
-helpers in :mod:`repro.utils.numeric` so that exact arithmetic (``int`` /
-:class:`fractions.Fraction`) and floating point coexist: exact inputs are
-compared exactly, floats are compared with a relative/absolute tolerance.
+Time coordinates need no comparison helpers: :class:`repro.scheduling.job.Job`
+makes every release, deadline and length an exact rational (``int`` or
+:class:`fractions.Fraction`) at construction, so the whole library compares
+them with plain operators.
 """
 
 from repro.utils.numeric import (
-    EPS,
     is_exact,
-    leq,
-    geq,
-    lt,
-    gt,
-    eq,
-    near_zero,
     log_base,
     ceil_log,
     floor_log,
@@ -23,14 +16,7 @@ from repro.utils.numeric import (
 from repro.utils.rng import make_rng, spawn_rngs
 
 __all__ = [
-    "EPS",
     "is_exact",
-    "leq",
-    "geq",
-    "lt",
-    "gt",
-    "eq",
-    "near_zero",
     "log_base",
     "ceil_log",
     "floor_log",

@@ -1,28 +1,14 @@
-"""Tolerance-aware numeric comparisons and logarithm helpers.
+"""Exactness test and logarithm helpers.
 
-The scheduling substrate supports both *exact* time coordinates (``int`` and
-:class:`fractions.Fraction` — used by the tightly-packed lower-bound
-constructions of Appendices A/B, where windows fit their content with zero
-slack) and ordinary ``float`` coordinates (used by the random workload
-generators).  Mixing tolerances into exact arithmetic would silently destroy
-the tightness arguments, while comparing floats exactly would produce
-spurious infeasibility verdicts; the helpers below dispatch on the operand
-types so each world gets the right comparison semantics.
+Time coordinates need no helpers: :class:`repro.scheduling.job.Job` makes
+them exact rationals.  :func:`is_exact` serves job *values*, which keep
+their type; the bitset search arms its fractional bound only on exact ones.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from numbers import Rational
-
-#: Absolute/relative tolerance used for floating-point comparisons.  The
-#: generators emit coordinates of magnitude at most ~1e12, so 1e-9 absolute
-#: combined with 1e-12 relative keeps round-off from flipping verdicts
-#: without masking genuine overlaps.
-EPS = 1e-9
-
-_REL = 1e-12
 
 
 def is_exact(*values) -> bool:
@@ -32,48 +18,6 @@ def is_exact(*values) -> bool:
     numpy floats do not.
     """
     return all(isinstance(v, Rational) for v in values)
-
-
-def _tol(a, b) -> float:
-    return max(EPS, _REL * max(abs(a), abs(b)))
-
-
-def eq(a, b) -> bool:
-    """Tolerant equality: exact when both operands are exact."""
-    if is_exact(a, b):
-        return a == b
-    return abs(a - b) <= _tol(a, b)
-
-
-def leq(a, b) -> bool:
-    """Tolerant ``a <= b``."""
-    if is_exact(a, b):
-        return a <= b
-    return a <= b + _tol(a, b)
-
-
-def geq(a, b) -> bool:
-    """Tolerant ``a >= b``."""
-    return leq(b, a)
-
-
-def lt(a, b) -> bool:
-    """Tolerant strict ``a < b`` (fails when the values are within tolerance)."""
-    if is_exact(a, b):
-        return a < b
-    return a < b - _tol(a, b)
-
-
-def gt(a, b) -> bool:
-    """Tolerant strict ``a > b``."""
-    return lt(b, a)
-
-
-def near_zero(x) -> bool:
-    """Whether ``x`` should be treated as a zero length."""
-    if is_exact(x):
-        return x == 0
-    return abs(x) <= EPS
 
 
 def log_base(x, base) -> float:
@@ -118,15 +62,5 @@ def ceil_log(x, base) -> int:
     if x <= 1:
         return 0
     e = floor_log(x, base)
-    if is_exact(x):
-        return e if base**e == x else e + 1
-    return e if eq(base**e, x) else e + 1
+    return e if base**e == x else e + 1
 
-
-def as_fraction(x) -> Fraction:
-    """Convert an exact or float coordinate to a Fraction (floats exactly)."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, Rational):
-        return Fraction(x)
-    return Fraction(x).limit_denominator(10**12)

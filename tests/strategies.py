@@ -1,8 +1,8 @@
 """Shared hypothesis strategies for the property-test suite.
 
 One module owns the instance distributions every ``test_prop_*`` file used
-to re-declare inline: integral job sets, horizon-bounded job sets, lax job
-sets (paired with their k), random forests (float- and integer-valued,
+to re-declare inline: integral job sets, horizon-bounded job sets,
+decimal-float job sets, lax job sets (paired with their k), random forests (float- and integer-valued,
 optionally paired with k), EDF-admitted feasible schedules, disjoint
 segment lists, and the small k / machine grids.
 
@@ -12,6 +12,8 @@ test's input distribution — the hypothesis databases stay meaningful and
 the regimes each suite was tuned for (tie-heavy values, bushy forests,
 lax windows) are preserved.
 """
+
+import math
 
 from hypothesis import strategies as st
 
@@ -23,6 +25,7 @@ __all__ = [
     "jobsets",
     "integral_jobsets",
     "large_jobsets",
+    "decimal_jobsets",
     "lax_jobsets",
     "forests",
     "int_forests",
@@ -139,6 +142,40 @@ def large_jobsets(
                 d = snapped
         deadlines.append(d)
         jobs.append(Job(i, r, d, p, v))
+    return JobSet(jobs)
+
+
+@st.composite
+def decimal_jobsets(draw, max_jobs: int = 8, max_value: int = 25):
+    """Job sets whose coordinates are one- or two-decimal floats.
+
+    Releases lie in ``[0, 2]`` and lengths in ``[0.1, 1]`` (or ``[0.01,
+    1]``), drawn in units of the decimal step.  The deadline float is
+    divided out from the integer sum, never built by float addition, so
+    it is the literal decimal: half the windows have zero slack, e.g.
+    release ``0.7``, length ``0.1``, deadline ``0.8``.  Some coordinates
+    then move 1 ulp to a neighbouring float, always in the direction that
+    keeps the window long enough (a deadline 1 ulp *below* a zero-slack
+    window, such as ``0.7999999999999999``, is rejected by ``Job``).
+    Values are integers, so every solver's optimum compares exactly.
+    """
+    step = draw(st.sampled_from([10, 100]))
+    n = draw(st.integers(min_value=1, max_value=max_jobs))
+    jobs = []
+    for i in range(n):
+        r = draw(st.integers(min_value=0, max_value=2 * step))
+        p = draw(st.integers(min_value=1, max_value=step))
+        slack = draw(st.one_of(st.just(0), st.integers(min_value=1, max_value=step)))
+        release, deadline = r / step, (r + p + slack) / step
+        nudge = draw(st.sampled_from(["none", "release-down", "deadline-up", "deadline-down"]))
+        if nudge == "release-down" and r > 0:
+            release = math.nextafter(release, -math.inf)
+        elif nudge == "deadline-up":
+            deadline = math.nextafter(deadline, math.inf)
+        elif nudge == "deadline-down" and slack > 0:
+            deadline = math.nextafter(deadline, -math.inf)
+        value = draw(st.integers(min_value=1, max_value=max_value))
+        jobs.append(Job(i, release, deadline, p / step, value))
     return JobSet(jobs)
 
 

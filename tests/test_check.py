@@ -33,6 +33,7 @@ from repro.check import (
     run_fuzz,
     shrink_case,
 )
+from repro.check.cases import has_fractional_coordinates
 from repro.check.invariants import (
     assert_invariant,
     check_opt_monotone_in_k,
@@ -70,14 +71,16 @@ class TestCases:
         assert case_to_dict(back) == case_to_dict(case)
         assert back.describe() == case.describe()
 
-    def test_jobs_cases_are_integral(self):
-        rngs = spawn_rngs(3, 20)
-        for rng in rngs:
+    def test_jobs_cases_mix_integer_and_decimal_coordinates(self):
+        fractional = 0
+        for rng in spawn_rngs(3, 40):
             case = generate_case("jobs", rng)
             for j in case.payload:
-                for field in (j.release, j.deadline, j.length, j.value):
-                    assert field == int(field)
+                assert type(j.value) is int
+                assert j.length >= 1
                 assert j.deadline - j.release >= j.length
+            fractional += has_fractional_coordinates(case)
+        assert 0 < fractional < 40
 
     def test_unknown_domain_rejected(self):
         with pytest.raises(ValueError, match="unknown domain"):
@@ -306,6 +309,13 @@ class TestCleanSmoke:
             report.oracle_runs
         )
         assert elapsed < 60, f"smoke fuzz took {elapsed:.1f}s, budget is 60s"
+        # Every oracle also ran on decimal-coordinate instances; CI greps
+        # this summary line.
+        assert report.fractional_jobs_cases > 0
+        assert (
+            f"jobs cases with non-integer coordinates: {report.fractional_jobs_cases}"
+            in report.summary()
+        )
 
     def test_fuzz_is_seed_reproducible(self):
         a = run_fuzz(seed=5, instances=5, out_dir="", static_invariants=False)

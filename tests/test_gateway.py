@@ -595,6 +595,60 @@ class TestHeaderCount:
         assert _run(scenario()).startswith(b"HTTP/1.1 200 ")
 
 
+class TestNonFiniteNumbers:
+    """Regression: a job coordinate or value of ``Infinity`` crashed the
+    handler with an ``OverflowError`` (the client read ``b''``), and
+    ``value: NaN`` raised ``ValueError`` while routing, outside the 400
+    mapping.  ``Job`` now rejects non-finite numbers at construction, so
+    every case is a typed 400."""
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", ["release", "deadline", "length", "value"])
+    def test_non_finite_number_gets_400(self, field, token):
+        doc = _requests(1)[0].to_wire()
+        doc["jobs"]["jobs"][0][field] = float(token.replace("Infinity", "inf"))
+        body = json.dumps(doc).encode()
+        assert token.encode() in body
+        head = (
+            "POST /v1/solve HTTP/1.1\r\n"
+            f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
+        ).encode()
+
+        async def scenario():
+            gateway = Gateway(shards=1, shard_factory=_inline_factory())
+            async with gateway:
+                return await _raw_exchange(gateway.port, head + body)
+
+        raw = _run(scenario())
+        head_part, _, reply = raw.partition(b"\r\n\r\n")
+        assert head_part.startswith(b"HTTP/1.1 400 "), raw[:200]
+        assert "error" in json.loads(reply)
+
+    @pytest.mark.parametrize(
+        "path, token",
+        [(("k",), "Infinity"), (("machines",), "Infinity"),
+         (("deadline_ms",), "NaN"), (("jobs", "jobs", 0, "id"), "Infinity")],
+        ids=["k-inf", "machines-inf", "deadline_ms-nan", "id-inf"],
+    )
+    def test_non_finite_request_field_gets_400(self, path, token):
+        """``int(inf)`` raised ``OverflowError``, which the 400 mapping
+        missed; a NaN ``deadline_ms`` passed validation."""
+        doc = _requests(1)[0].to_wire()
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = float(token.replace("Infinity", "inf"))
+
+        async def scenario():
+            gateway = Gateway(shards=1, shard_factory=_inline_factory())
+            async with gateway:
+                return await gateway.handle_solve(doc)
+
+        status, payload, _ = _run(scenario())
+        assert status == 400
+        assert "error" in payload
+
+
 # ---------------------------------------------------------------------------
 # real process fleet
 # ---------------------------------------------------------------------------

@@ -40,6 +40,12 @@ class TestJobValidation:
         assert j.is_strict(1)
         assert not Job(0, 0, 5, 2).is_strict(1)  # λ = 2.5
 
+    def test_is_strict_is_exact_at_large_magnitude(self):
+        # λ = 2 + 1e-10: lax at k=1.  Float division with a 1e-9 tolerance
+        # routed it strict.
+        assert Job(0, 0, 2 * 10**10 + 1, 10**10, 1).is_strict(1) is False
+        assert Job(0, 0, 2 * 10**10, 10**10, 1).is_strict(1) is True
+
     def test_shifted(self):
         j = Job(0, 1, 5, 2, 3.0).shifted(10)
         assert (j.release, j.deadline) == (11, 15)
@@ -48,6 +54,58 @@ class TestJobValidation:
     def test_with_id(self):
         j = Job(0, 1, 5, 2).with_id(9)
         assert j.id == 9 and j.release == 1
+
+
+class TestExactCoordinates:
+    """``Job`` is where numbers enter the model: time becomes exact."""
+
+    def test_int_stays_int(self):
+        j = Job(0, 1, 5, 2)
+        assert all(type(x) is int for x in (j.release, j.deadline, j.length))
+
+    def test_integral_fraction_becomes_int(self):
+        j = Job(0, Fraction(2, 2), Fraction(10, 2), Fraction(4, 2))
+        assert (j.release, j.deadline, j.length) == (1, 5, 2)
+        assert all(type(x) is int for x in (j.release, j.deadline, j.length))
+
+    def test_float_reads_as_shortest_decimal(self):
+        j = Job(0, 0.7, 3.7, 1.0, 0.5)
+        assert j.release == Fraction(7, 10)
+        assert j.deadline == Fraction(37, 10)
+        assert type(j.length) is int and j.length == 1
+        assert j.value == 0.5 and type(j.value) is float  # values keep their type
+
+    def test_zero_slack_decimal_literals(self):
+        j = Job(0, 0.7, 0.8, 0.1)
+        assert j.window == j.length == Fraction(1, 10)
+        assert j.is_strict(0)
+        # 0.7 + 0.1 is the float 0.7999999999999999: exactly, too short.
+        with pytest.raises(ValueError, match="shorter"):
+            Job(0, 0.7, 0.7999999999999999, 0.1)
+        with pytest.raises(ValueError, match="shorter"):
+            Job(0, 0.7, 0.7 + 0.1, 0.1)
+
+    @pytest.mark.parametrize("field", ["release", "deadline", "length"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_coordinates(self, field, bad):
+        kwargs = {"release": 0, "deadline": 10, "length": 4}
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Job(0, **kwargs)
+
+    def test_rejects_minus_infinite_release(self):
+        # Accepted before, after which edf_schedule on it never returned.
+        with pytest.raises(ValueError, match="release must be finite"):
+            Job(0, float("-inf"), 10, 4)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_value(self, bad):
+        with pytest.raises(ValueError, match="value must be finite and positive"):
+            Job(0, 0, 10, 4, bad)
+
+    def test_rejects_non_numbers(self):
+        with pytest.raises(TypeError):
+            Job(0, "0", 10, 4)
 
 
 class TestJobSetBasics:
@@ -134,6 +192,15 @@ class TestLengthClasses:
         classes = jobs.length_classes(2)
         # p=2 is exactly the class-0 boundary and stays in class 0.
         assert jobs[1].id in [i for i in classes[0].ids]
+
+    def test_boundary_is_exact_at_large_magnitude(self):
+        # p = 2e10 sits on the class-0 boundary; one unit more is class 1.
+        # Float division with a 1e-9 tolerance kept both in class 0.
+        p = 10**10
+        jobs = make_jobs([(0, 10**11, p), (0, 10**11, 2 * p), (0, 10**11, 2 * p + 1)])
+        classes = jobs.length_classes(2)
+        assert classes[0].ids == [0, 1]
+        assert classes[1].ids == [2]
 
     def test_base_k_plus_one(self):
         jobs = make_jobs([(0, 1000, p) for p in (1, 2, 3, 4, 9, 27)])

@@ -1,23 +1,10 @@
-"""Unit tests for the tolerance-aware numeric helpers."""
+"""Unit tests for the exactness test and the logarithm helpers."""
 
 from fractions import Fraction
 
 import pytest
 
-from repro.utils.numeric import (
-    EPS,
-    as_fraction,
-    ceil_log,
-    eq,
-    floor_log,
-    geq,
-    gt,
-    is_exact,
-    leq,
-    log_base,
-    lt,
-    near_zero,
-)
+from repro.utils.numeric import ceil_log, floor_log, is_exact, log_base
 
 
 class TestIsExact:
@@ -35,55 +22,6 @@ class TestIsExact:
 
     def test_bools_count_as_exact(self):
         assert is_exact(True)
-
-
-class TestExactComparisons:
-    def test_exact_eq_is_strict(self):
-        assert eq(Fraction(1, 3), Fraction(1, 3))
-        assert not eq(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**15))
-
-    def test_exact_lt_on_tiny_gap(self):
-        a = Fraction(1, 10**12)
-        assert lt(0, a)
-        assert not lt(a, a)
-
-    def test_exact_leq_geq(self):
-        assert leq(Fraction(2), Fraction(2))
-        assert geq(Fraction(2), Fraction(2))
-        assert not leq(Fraction(2) + Fraction(1, 10**9), Fraction(2))
-
-
-class TestFloatComparisons:
-    def test_float_eq_tolerates_roundoff(self):
-        assert eq(0.1 + 0.2, 0.3)
-
-    def test_float_lt_rejects_within_tolerance(self):
-        assert not lt(1.0, 1.0 + EPS / 10)
-
-    def test_float_lt_accepts_clear_gap(self):
-        assert lt(1.0, 1.1)
-
-    def test_float_leq_with_roundoff(self):
-        assert leq(0.1 + 0.2, 0.3)
-        assert leq(0.3, 0.1 + 0.2)
-
-    def test_relative_tolerance_at_large_magnitude(self):
-        big = 1e12
-        assert eq(big, big * (1 + 1e-13))
-
-    def test_gt_is_lt_flipped(self):
-        assert gt(2.0, 1.0)
-        assert not gt(1.0, 2.0)
-
-
-class TestNearZero:
-    def test_exact_zero(self):
-        assert near_zero(0)
-        assert not near_zero(Fraction(1, 10**15))
-
-    def test_float_zero(self):
-        assert near_zero(1e-12)
-        assert not near_zero(1e-3)
 
 
 class TestLogHelpers:
@@ -124,14 +62,3 @@ class TestLogHelpers:
         with pytest.raises(ValueError):
             ceil_log(0, 2)
 
-
-class TestAsFraction:
-    def test_int_passthrough(self):
-        assert as_fraction(7) == Fraction(7)
-
-    def test_fraction_passthrough(self):
-        f = Fraction(22, 7)
-        assert as_fraction(f) is f
-
-    def test_float_conversion(self):
-        assert as_fraction(0.5) == Fraction(1, 2)

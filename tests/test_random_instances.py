@@ -115,6 +115,15 @@ class TestRandomJobs:
             jobs = random_strict_jobs(30, k, seed=4)
             assert all(j.laxity <= k + 1 + 1e-9 for j in jobs)
 
+    def test_unit_laxity_windows_fit_their_jobs(self):
+        # At k = 0 the laxity is exactly 1.  The float r + p, read as a
+        # decimal, can fall short of p; the generator must not emit (or
+        # raise on) such a window.
+        for seed in range(20):
+            for j in random_strict_jobs(20, 0, seed=seed):
+                assert j.window >= j.length
+                assert j.is_strict(0)
+
 
 class TestLaminarJobChain:
     def test_size(self):
