@@ -63,7 +63,7 @@ from repro.scheduling.io import (
     schedule_from_dict,
     schedule_to_dict,
 )
-from repro.scheduling.job import JobSet
+from repro.scheduling.job import JobSet, integral
 from repro.scheduling.schedule import MultiMachineSchedule, Schedule
 
 __all__ = [
@@ -226,8 +226,8 @@ class SolveRequest:
             raise TypeError(
                 f"jobs must be a JobSet, got {type(self.jobs).__name__}"
             )
-        object.__setattr__(self, "k", int(self.k))
-        object.__setattr__(self, "machines", int(self.machines))
+        object.__setattr__(self, "k", integral(self.k, "k"))
+        object.__setattr__(self, "machines", integral(self.machines, "machines"))
         if self.k < 0:
             raise ValueError(f"k must be >= 0, got {self.k}")
         if self.machines < 1:
@@ -264,10 +264,16 @@ class SolveRequest:
         gateway shards on: same instance, same shard, for every ``k``."""
         return self.jobs.canonical_key()
 
-    def key(self) -> str:
+    def key(self, canonical_key: Optional[str] = None) -> str:
         """The cache key (:func:`request_key`): instance hash plus the
-        parameters that select the solver pipeline."""
-        return request_key(self.jobs, self.k, machines=self.machines, method=self.method)
+        parameters that select the solver pipeline.
+
+        A caller already holding :meth:`canonical_key` passes it in, so the
+        instance is hashed once (the gateway routes on the same key).
+        """
+        if canonical_key is None:
+            canonical_key = self.canonical_key()
+        return _format_key(canonical_key, self.k, self.machines, self.method)
 
     def to_wire(self) -> Dict[str, Any]:
         """The ``repro-wire/1`` document for this request."""
@@ -315,7 +321,11 @@ def request_key(jobs: JobSet, k: int, *, machines: int = 1, method: str = "auto"
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r} (want one of {METHODS})")
-    return f"{jobs.canonical_key()}:k={k}:m={machines}:method={method}"
+    return _format_key(jobs.canonical_key(), k, machines, method)
+
+
+def _format_key(canonical_key: str, k: int, machines: int, method: str) -> str:
+    return f"{canonical_key}:k={k}:m={machines}:method={method}"
 
 
 def _solve_single(jobs: JobSet, k: int, method: str, enforce_laxity: bool) -> Schedule:

@@ -620,7 +620,7 @@ def _gateway_vs_direct(case: Case) -> Optional[str]:
                 f"{served.preemptions_used} vs {direct.preemptions_used}"
             )
     if not SolveResult.from_wire(p2["result"]).metrics.get("served.hit"):
-        return "gateway repeat of the same canonical instance missed the shard cache"
+        return "gateway repeat of the same canonical instance was not a cache hit"
     return None
 
 
@@ -672,9 +672,12 @@ def _gateway_restart_equivalence(case: Case) -> Optional[str]:
 
     Solves once through the gateway, replaces the owning shard via the
     same :meth:`Gateway._restart_shard` hook the supervisor calls, then
-    repeats the request: the answer must be bit-equal, must be served
-    from the replacement's re-warmed store (``served.store_hit``), and
-    the solver must not run again (counted via ``solve_fn``).
+    repeats the request over the shard hop (:meth:`Gateway._dispatch`;
+    the gateway's own answer cache would otherwise answer it): the answer
+    must be bit-equal, must be served from the replacement's re-warmed
+    store (``served.store_hit``), and the solver must not run again
+    (counted via ``solve_fn``).  The gateway's answer to the same request
+    must equal the replacement's, on the same route.
     """
     import asyncio
     import os
@@ -682,6 +685,7 @@ def _gateway_restart_equivalence(case: Case) -> Optional[str]:
 
     from repro.api import SolveRequest, SolveResult, solve_k_bounded
     from repro.gateway import Gateway, InlineShard
+    from repro.scheduling.io import schedule_to_dict
 
     jobs, k = case.payload, case.params["k"]
     request = SolveRequest(jobs=jobs, k=k)
@@ -708,25 +712,26 @@ def _gateway_restart_equivalence(case: Case) -> Optional[str]:
         await gateway.start()
         try:
             first = await gateway.handle_solve(request.to_wire())
-            owner = gateway.shard_for_canonical_key(request.canonical_key())
+            owner = gateway.shard_for(request)
             await gateway._restart_shard(owner)
+            probe = await gateway._dispatch(owner, request.to_wire())
             second = await gateway.handle_solve(request.to_wire())
         finally:
             await gateway.stop()
-        return first, second
+        return first, owner, probe, second
 
     with tempfile.TemporaryDirectory(prefix="repro-check-gwrestart-") as root:
-        (s1, p1, _), (s2, p2, _) = asyncio.run(drive(root))
+        (s1, p1, _), owner, probe, (s2, p2, _) = asyncio.run(drive(root))
     for label, status, payload in (("pre-restart", s1, p1), ("post-restart", s2, p2)):
         if status != 200:
             return f"gateway {label} request failed: HTTP {status} {payload} (k={k})"
-    if p1["shard"] != p2["shard"]:
+    if not p1["shard"] == owner == p2["shard"]:
         return (
             f"restart changed the key's route: shard {p1['shard']} -> "
-            f"{p2['shard']} (k={k})"
+            f"{p2['shard']}, owner {owner} (k={k})"
         )
     before = SolveResult.from_wire(p1["result"])
-    after = SolveResult.from_wire(p2["result"])
+    after = SolveResult.from_wire(probe)
     if after.value != before.value or after.preemptions_used != before.preemptions_used:
         return (
             f"restarted shard diverges (k={k}): value {after.value} vs "
@@ -743,6 +748,112 @@ def _gateway_restart_equivalence(case: Case) -> Optional[str]:
             f"post-restart answer is missing its served.store_hit flag (k={k}) — "
             f"the replacement did not re-warm from its shard store"
         )
+    answered = SolveResult.from_wire(p2["result"])
+    if (
+        answered.value != after.value
+        or answered.preemptions_used != after.preemptions_used
+        or schedule_to_dict(answered.schedule) != schedule_to_dict(after.schedule)
+    ):
+        return (
+            f"gateway answer after the restart differs from the replacement "
+            f"shard's (k={k}): value {answered.value} vs {after.value}"
+        )
+    return None
+
+
+@register_oracle(
+    "gateway-answer-cache",
+    "jobs",
+    "a repeat the gateway answers itself equals the owning shard's cache hit; "
+    "a degraded answer is never replayed; a reshard re-routes the envelope",
+)
+def _gateway_answer_cache(case: Case) -> Optional[str]:
+    """Check the gateway's answer cache against the shard it stands in for.
+
+    1. The first request carries a 1 ms ``deadline_ms`` while the full
+       pipeline waits at a gate, so its answer is degraded.  A repeat with
+       no deadline must come back not degraded.
+    2. The next repeat is answered by the gateway (``answer_hits``).  It
+       must decode to the same result — value, preemptions, method,
+       schedule and metrics — as the owning shard's own LRU hit, fetched
+       over the hop (:meth:`Gateway._dispatch`).
+    3. After ``reshard(3)`` a cached answer names the new ring's owner.
+    """
+    import asyncio
+    import threading
+
+    from repro.api import SolveRequest, SolveResult, solve_k_bounded
+    from repro.gateway import Gateway, HashRing, InlineShard
+    from repro.scheduling.io import schedule_to_dict
+
+    jobs, k = case.payload, case.params["k"]
+    request = SolveRequest(jobs=jobs, k=k)
+    doc = request.to_wire()
+    gate = threading.Event()
+
+    def gated_solve(jobs_, k_, *, machines=1, method="auto", **kw):
+        if method != "lsa":  # the degraded fallback runs LSA and passes
+            gate.wait(10.0)
+        return solve_k_bounded(jobs_, k_, machines=machines, method=method, **kw)
+
+    async def drive():
+        gateway = Gateway(
+            shards=2,
+            shard_factory=lambda index: InlineShard(workers=1, solve_fn=gated_solve),
+            supervise=False,
+        )
+        await gateway.start()
+        try:
+            try:
+                first = await gateway.handle_solve(dict(doc, deadline_ms=1.0))
+            finally:
+                gate.set()
+            full = await gateway.handle_solve(doc)
+            hits_after_full = gateway.counters["answer_hits"]
+            replayed = await gateway.handle_solve(doc)
+            owner = gateway.shard_for(request)
+            shard_hit = await gateway._dispatch(owner, doc)
+            await gateway.reshard(3)
+            moved = await gateway.handle_solve(doc)
+            hits = gateway.counters["answer_hits"]
+        finally:
+            await gateway.stop()
+        return first, full, hits_after_full, replayed, shard_hit, moved, hits
+
+    first, full, hits_after_full, replayed, shard_hit, moved, hits = asyncio.run(drive())
+    for label, (status, payload, _) in (
+        ("deadline", first), ("repeat", full), ("replayed", replayed), ("resharded", moved)
+    ):
+        if status != 200:
+            return f"gateway {label} request failed: HTTP {status} {payload} (k={k})"
+    if not SolveResult.from_wire(first[1]["result"]).degraded:
+        return f"the gated 1 ms deadline request was not degraded (k={k})"
+    if SolveResult.from_wire(full[1]["result"]).degraded or hits_after_full:
+        return f"the gateway replayed a degraded answer to a no-deadline repeat (k={k})"
+    if hits != 2:
+        return f"gateway answered {hits} of 2 cached repeats itself (k={k})"
+    cached = SolveResult.from_wire(replayed[1]["result"])
+    shard = SolveResult.from_wire(shard_hit)
+    for name, mine, theirs in (
+        ("value", cached.value, shard.value),
+        ("preemptions", cached.preemptions_used, shard.preemptions_used),
+        ("method", cached.method, shard.method),
+        ("schedule", schedule_to_dict(cached.schedule), schedule_to_dict(shard.schedule)),
+        ("metrics", cached.metrics, shard.metrics),
+    ):
+        if mine != theirs:
+            return (
+                f"gateway-cached answer differs from the shard's cache hit in "
+                f"{name} (k={k}): {mine} vs {theirs}"
+            )
+    new_owner = HashRing(3).shard_for(request.canonical_key())
+    if moved[1]["shard"] != new_owner:
+        return (
+            f"cached answer after reshard(3) names shard {moved[1]['shard']}, "
+            f"the ring's owner is {new_owner} (k={k})"
+        )
+    if SolveResult.from_wire(moved[1]["result"]).value != shard.value:
+        return f"cached answer changed value across reshard(3) (k={k})"
     return None
 
 

@@ -406,8 +406,10 @@ def _cmd_gateway_bench(args) -> int:
     per-shard-nonzero-hits gates set the exit status for CI.
 
     ``--chaos`` SIGKILLs one shard worker partway through the timed
-    phase and additionally gates on zero wrong answers, zero unanswered
-    requests, and supervisor recovery within ``--max-recovery-ms``.
+    phase and additionally gates on at least one request meeting the
+    killed shard (a gateway failover), zero wrong answers, zero
+    unanswered requests, and supervisor recovery within
+    ``--max-recovery-ms``.
     """
     import json
 
@@ -459,10 +461,12 @@ def _cmd_gateway_bench(args) -> int:
         if snap.get("down"):
             print(f"shard {i}: DOWN")
             continue
-        total = max(1, snap["requests"])
+        hits = snap["hits"] + snap["answer_hits"]
+        total = max(1, snap["requests"] + snap["answer_hits"])
         print(
             f"shard {i}: requests={snap['requests']} hits={snap['hits']} "
-            f"misses={snap['misses']} hit_ratio={snap['hits'] / total:.2f}"
+            f"answer_hits={snap['answer_hits']} misses={snap['misses']} "
+            f"hit_ratio={hits / total:.2f}"
         )
     gw = payload["gateway"]
     print(
@@ -476,6 +480,7 @@ def _cmd_gateway_bench(args) -> int:
                 "quota_denied",
                 "shard_restarts",
                 "failovers",
+                "answer_hits",
             )
         )
     )
@@ -497,7 +502,8 @@ def _cmd_gateway_bench(args) -> int:
         print(
             f"chaos: kills={ch['kills']} recovered={ch['recovered']} "
             f"recovery_ms_max={recovery if recovery is None else format(recovery, '.0f')} "
-            f"retried_503={ch['retried_503']} unanswered={ch['unanswered']} "
+            f"failovers={ch['failovers']} retried_503={ch['retried_503']} "
+            f"unanswered={ch['unanswered']} "
             f"wrong_answers={ch['wrong_answers']}"
         )
     if args.out:
@@ -514,7 +520,7 @@ def _cmd_gateway_bench(args) -> int:
     zero_hit = [
         i
         for i, s in enumerate(payload["per_shard"])
-        if not s.get("down") and s["hits"] == 0
+        if not s.get("down") and s["hits"] + s["answer_hits"] == 0
     ]
     if zero_hit:
         failures.append(f"shards with zero cache hits: {zero_hit}")
@@ -532,6 +538,8 @@ def _cmd_gateway_bench(args) -> int:
         ch = payload["chaos"]
         if ch["kills"] < 1:
             failures.append("chaos: no shard was killed")
+        if ch["failovers"] < 1:
+            failures.append("chaos: no request met the killed shard (0 failovers)")
         if ch["wrong_answers"]:
             failures.append(f"chaos: {ch['wrong_answers']} wrong answers")
         if ch["unanswered"]:

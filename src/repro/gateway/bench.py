@@ -9,7 +9,9 @@ Phases:
 
 1. **warmup** — every corpus instance is requested twice, sequentially:
    the first pass populates each owning shard's cache (misses), the
-   second proves a hit on every shard that owns at least one key.  The
+   second proves a hit for every shard that owns at least one key (the
+   gateway answers it from its answer cache and counts the hit against
+   the owning shard's ``answer_hits``).  The
    warmup responses double as the oracle sample: each value is compared
    against a direct :func:`repro.api.solve_k_bounded` call
    (``disagreements`` must be 0) and each response's ``shard`` against
@@ -19,15 +21,20 @@ Phases:
    over fresh connect-per-request sockets and over the keep-alive
    :class:`ConnectionPool`, so the payload records what pooling buys
    (``client_pool.p50_speedup``).
-3. **timed open loop** — ``duration_s * rps`` Poisson arrivals sampling
-   the corpus uniformly through the pool; p50/p99 latency, throughput
-   and per-shard cache hit ratios are reported.
+3. **timed open loop** — ``duration_s * rps`` Poisson arrivals through
+   the pool.  A share (:data:`_FRESH_SHARE`) are instances never sent
+   before, which the gateway cannot answer itself: they reach their
+   shard, so the p99 includes shard work.  The rest sample the warmed
+   corpus uniformly.  p50/p99 latency, throughput and per-shard cache
+   hit ratios are reported.
 
 With ``chaos=True`` the run additionally arms the
 ``gateway.kill_shard`` fault (:mod:`repro.utils.faults`) partway through
 the timed phase: the supervisor SIGKILLs one live shard worker, detects
-the death, and restarts it while the load keeps arriving.  Every 200 in
-the timed phase is then re-checked against a precomputed direct solve
+the death, and restarts it while the load keeps arriving.  While the
+fault is armed, never-sent instances also arrive back to back, so some
+request surely meets the dead shard (``chaos.failovers`` must be > 0).
+Every 200 in the timed phase is then re-checked against a direct solve
 (``chaos.wrong_answers`` must be 0), 503s are retried until they answer
 (``chaos.unanswered`` must be 0), and the supervisor's incident log
 yields the detection-to-recovery time the ``--max-recovery-ms`` CI gate
@@ -39,6 +46,7 @@ The payload (schema ``repro-gateway-bench/1``) is what CI gates on.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import random
 from typing import Any, Dict, List, Optional, Tuple
@@ -46,6 +54,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.api import SolveRequest, SolveResult, solve_k_bounded
 from repro.gateway.core import Gateway
 from repro.gateway.routing import HashRing
+from repro.instances import random_jobs
 from repro.utils import faults
 
 __all__ = ["ConnectionPool", "run_gateway_bench"]
@@ -239,8 +248,6 @@ def _build_corpus(corpus: int, n: int, seed: int, shards: int, route):
     ``route`` is the canonical-key -> shard function the coverage is
     checked against.
     """
-    from repro.instances import random_jobs
-
     rng = random.Random(seed)
     requests: List[SolveRequest] = []
     covered = set()
@@ -257,8 +264,22 @@ def _build_corpus(corpus: int, n: int, seed: int, shards: int, route):
     return [(req, req.to_wire()) for req in requests]
 
 
+def _fresh_requests(n: int, seed: int):
+    """Endless never-warmed requests: seeds far above any corpus seed."""
+    rng = random.Random(seed + 3)
+    for offset in itertools.count(_FRESH_SEED_OFFSET):
+        req = SolveRequest(jobs=random_jobs(n, seed=seed + offset), k=rng.choice((1, 2)))
+        yield req, req.to_wire()
+
+
 #: Sequential cache-hit requests per client flavour in the comparison phase.
 _CLIENT_COMPARE_REQUESTS = 30
+
+#: Share of timed arrivals that are never-sent instances (gateway misses).
+_FRESH_SHARE = 0.25
+
+#: Seed offset of the never-sent instances, past any corpus top-up.
+_FRESH_SEED_OFFSET = 1_000_000
 
 #: How long a 503 ("shard restarting") is retried before it counts as
 #: unanswered, and how long the post-loop recovery wait may take.  Both
@@ -314,7 +335,7 @@ async def _run_bench(
         # -- warmup + oracle sample ------------------------------------------
         disagreements = 0
         route_mismatches = 0
-        direct_values: Dict[str, int] = {}
+        direct_values: Dict[str, float] = {}
         for _pass in range(2):
             for req, doc in pairs:
                 status, payload = await _http_json(host, port, "POST", "/v1/solve", doc)
@@ -327,7 +348,7 @@ async def _run_bench(
                 if _pass == 0:
                     served = SolveResult.from_wire(payload["result"])
                     direct = solve_k_bounded(req.jobs, k=req.k)
-                    direct_values[req.canonical_key()] = direct.value
+                    direct_values[req.key()] = direct.value
                     if served.value != direct.value:
                         disagreements += 1
 
@@ -355,15 +376,24 @@ async def _run_bench(
         # -- timed open loop (through the pool) ------------------------------
         arrival_rng = random.Random(seed + 1)
         pick_rng = random.Random(seed + 2)
+        fresh = _fresh_requests(n, seed)
         total = max(1, int(rps * duration_s))
         latencies_ms: List[float] = []
         status_counts: Dict[int, int] = {}
-        wrong_answers = 0
+        answers: List[Tuple[SolveRequest, float]] = []
+        fresh_sent = 0
         retried_503 = 0
         unanswered = 0
 
+        def next_request() -> Tuple[SolveRequest, Dict[str, Any]]:
+            nonlocal fresh_sent
+            if pick_rng.random() < _FRESH_SHARE:
+                fresh_sent += 1
+                return next(fresh)
+            return pairs[pick_rng.randrange(len(pairs))]
+
         async def one_request(req: SolveRequest, doc: Dict[str, Any]) -> None:
-            nonlocal wrong_answers, retried_503, unanswered
+            nonlocal retried_503, unanswered
             t0 = loop.time()
             deadline = t0 + _CHAOS_RETRY_BUDGET_S
             try:
@@ -383,18 +413,23 @@ async def _run_bench(
             if status == 200:
                 latencies_ms.append(elapsed_ms)
                 if chaos:
-                    served = SolveResult.from_wire(payload["result"])
-                    if served.value != direct_values[req.canonical_key()]:
-                        wrong_answers += 1
+                    answers.append((req, SolveResult.from_wire(payload["result"]).value))
             elif status != 429:
                 unanswered += 1
 
         async def arm_kill(delay_s: float) -> None:
+            nonlocal fresh_sent
             await asyncio.sleep(delay_s)
             with faults.inject("gateway.kill_shard"):
                 # Hold through several supervisor sweeps; the fault is
-                # one-shot per arming, so exactly one worker dies.
-                await asyncio.sleep(1.0)
+                # one-shot per arming, so exactly one worker dies.  Never-
+                # sent instances arrive back to back meanwhile: requests
+                # the gateway cannot answer itself, so some of them meet
+                # the dead shard whatever the open loop's mix.
+                hold_until = loop.time() + 1.0
+                while loop.time() < hold_until:
+                    fresh_sent += 1
+                    await one_request(*next(fresh))
 
         chaos_task = (
             asyncio.ensure_future(arm_kill(duration_s * 0.3)) if chaos else None
@@ -407,8 +442,7 @@ async def _run_bench(
             delay = bench_t0 + next_arrival - loop.time()
             if delay > 0:
                 await asyncio.sleep(delay)
-            req, doc = pairs[pick_rng.randrange(len(pairs))]
-            tasks.append(asyncio.ensure_future(one_request(req, doc)))
+            tasks.append(asyncio.ensure_future(one_request(*next_request())))
         await asyncio.gather(*tasks)
         if chaos_task is not None:
             await chaos_task
@@ -427,7 +461,14 @@ async def _run_bench(
         await pool.close()
         await gateway.stop()
 
+    wrong_answers = 0
+    for req, value in answers:
+        key = req.key()
+        if key not in direct_values:
+            direct_values[key] = solve_k_bounded(req.jobs, k=req.k).value
+        wrong_answers += value != direct_values[key]
     latencies_ms.sort()
+    sent = sum(status_counts.values())
     completed = status_counts.get(200, 0)
     payload = {
         "format": BENCH_FORMAT,
@@ -441,11 +482,12 @@ async def _run_bench(
             "inline": inline,
             "chaos": chaos,
         },
-        "sent": total,
+        "sent": sent,
+        "fresh": fresh_sent,
         "completed": completed,
         "rejected": status_counts.get(429, 0),
-        "errors": total - completed - status_counts.get(429, 0),
-        "achieved_rps": total / elapsed_s if elapsed_s > 0 else 0.0,
+        "errors": sent - completed - status_counts.get(429, 0),
+        "achieved_rps": sent / elapsed_s if elapsed_s > 0 else 0.0,
         "p50_ms": _quantile(latencies_ms, 0.50),
         "p99_ms": _quantile(latencies_ms, 0.99),
         "disagreements": disagreements,
@@ -458,7 +500,11 @@ async def _run_bench(
             "created": pool.created,
             "reused": pool.reused,
         },
-        "per_shard": stats_payload["shards"],
+        # Repeats answered by the gateway count against their owning shard.
+        "per_shard": [
+            dict(snap, answer_hits=hits)
+            for snap, hits in zip(stats_payload["shards"], stats_payload["answer_hits"])
+        ],
         "fleet": stats_payload["fleet"],
         "gateway": stats_payload["gateway"],
         "supervisor": stats_payload.get("supervisor"),
@@ -476,6 +522,7 @@ async def _run_bench(
             "recovery_ms_max": max(recoveries) if recoveries else None,
             "recovered": bool(incidents)
             and all(inc.get("recovered") for inc in incidents),
+            "failovers": stats_payload["gateway"]["failovers"],
             "retried_503": retried_503,
             "unanswered": unanswered,
             "wrong_answers": wrong_answers,

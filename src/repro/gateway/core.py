@@ -14,10 +14,16 @@ deps) that:
 * **meters** tenants through token buckets (``X-Tenant`` header, default
   tenant otherwise); an empty bucket is also a ``429``, with the bucket's
   own refill time as ``Retry-After``;
-* **dispatches** every admitted request to its shard as one ``solve`` op
-  the moment it is admitted, so a cache hit costs the hop and the lookup
-  and nothing else.  The shard link is multiplexed by message id, so
-  concurrent requests to one shard are in flight together.
+* **answers repeats itself**: a served answer is a pure function of its
+  request key (instance plus ``k``, ``machines``, ``method``), so every
+  non-degraded shard answer is kept as encoded bytes in a gateway LRU
+  bounded by :data:`ANSWER_CACHE_BYTES`.  A repeat is answered by splicing
+  those bytes into the response envelope — no shard hop, no in-flight
+  slot, no JSON re-encode — even while its shard is down;
+* **dispatches** every other admitted request to its shard as one
+  ``solve`` op the moment it is admitted.  The shard link is multiplexed
+  by message id, so concurrent requests to one shard are in flight
+  together.
 
 Wire format is ``repro-wire/1`` end to end: the request body is
 ``SolveRequest.to_wire()``, the response wraps ``SolveResult.to_wire()``
@@ -25,8 +31,8 @@ together with the serving shard's index.  With ``store_dir`` set, each
 shard mounts a durable :class:`repro.store.ResultStore` at
 ``<store_dir>/shard-NN`` so its cache survives restarts (see
 ``docs/STORE.md``).  Counters
-``gateway.admitted/rejected/sharded/quota_denied`` flow into the ambient
-:mod:`repro.obs` tracer.  See ``docs/GATEWAY.md``.
+``gateway.admitted/rejected/sharded/quota_denied/answer_hits`` flow into
+the ambient :mod:`repro.obs` tracer.  See ``docs/GATEWAY.md``.
 """
 
 from __future__ import annotations
@@ -35,14 +41,15 @@ import asyncio
 import json
 import math
 import os
-from typing import Any, Dict, List, Optional, Tuple
+from collections import OrderedDict
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.api import WIRE_FORMAT, SolveRequest
 from repro.gateway.routing import HashRing, QuotaManager, ring_movement
 from repro.gateway.shard import ProcessShard, ShardError
 from repro.gateway.supervisor import ShardSupervisor
 from repro.obs.tracer import current_tracer
-from repro.serve.service import ServiceStats
+from repro.serve.service import ServiceStats, cacheable, hit_metrics
 
 __all__ = ["Gateway"]
 
@@ -50,6 +57,11 @@ __all__ = ["Gateway"]
 #: is answered 413 without reading the body.  A ``repro-wire/1`` request at
 #: the exact solver's n = 30 frontier is a few kilobytes.
 MAX_BODY_BYTES = 1 << 20
+
+#: Most bytes of encoded answers (keys plus ``solve_result`` documents) the
+#: gateway keeps for repeat requests.  An n = 12 answer is about 1.5 to 4 KB,
+#: so this holds a thousand or more: several times a default fleet's LRUs.
+ANSWER_CACHE_BYTES = 4 << 20
 
 #: Most header lines one request may carry; the first line past it is
 #: answered 431 and the connection closed, so a client cannot stream
@@ -64,6 +76,67 @@ _COUNTERS = (
     "shard_restarts",
     "failovers",
     "ring_moves",
+    "answer_hits",
+)
+
+#: ``(status, payload, extra headers)``; a payload is a JSON-able dict, or
+#: (from ``handle_solve(..., encoded=True)``) an already-encoded body.
+Reply = Tuple[int, Union[bytes, Dict[str, Any]], Dict[str, str]]
+
+
+class AnswerCache:
+    """An LRU of encoded answers, bounded in bytes rather than entries.
+
+    An entry costs the length of its key plus its value.  A put past
+    ``budget`` evicts least-recently-used entries until the rest fits; an
+    entry larger than the whole budget is not kept.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.size = 0
+        self._data: "OrderedDict[str, bytes]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def get(self, key: str) -> Optional[bytes]:
+        value = self._data.get(key)
+        if value is not None:
+            self._data.move_to_end(key)
+        return value
+
+    def put(self, key: str, value: bytes) -> None:
+        cost = len(key) + len(value)
+        if cost > self.budget:
+            return
+        old = self._data.pop(key, None)
+        if old is not None:
+            self.size -= len(key) + len(old)
+        self._data[key] = value
+        self.size += cost
+        while self.size > self.budget:
+            old_key, old_value = self._data.popitem(last=False)
+            self.size -= len(old_key) + len(old_value)
+
+
+def _solve_response(shard_index: int, result_doc: Any) -> Dict[str, Any]:
+    """The ``solve_response`` payload for one answer from ``shard_index``."""
+    return {
+        "format": WIRE_FORMAT,
+        "kind": "solve_response",
+        "shard": shard_index,
+        "result": result_doc,
+    }
+
+
+#: :func:`_solve_response` as ``json.dumps`` lays it out, with ``%d`` and
+#: ``%s`` slots for the shard index and an encoded result: a cached answer
+#: is spliced in without decoding or re-encoding it.
+_RESPONSE_TEMPLATE = (
+    json.dumps(_solve_response(0, None))
+    .replace('"shard": 0, "result": null}', '"shard": %d, "result": %s}')
+    .encode()
 )
 
 
@@ -97,6 +170,9 @@ class Gateway:
     key always lands on the same shard).  Only the default factory
     consumes it — passing both ``store_dir`` and ``shard_factory`` is an
     error rather than a silently ignored config.
+
+    Repeat requests are answered from an :class:`AnswerCache` of
+    :data:`ANSWER_CACHE_BYTES`; it has no knob of its own.
 
     Endpoints: ``POST /v1/solve``, ``GET /v1/stats``, ``GET /v1/healthz``.
     """
@@ -166,6 +242,8 @@ class Gateway:
         self._down: List[bool] = []
         self._recovered: List[asyncio.Event] = []
         self._generation: List[int] = []
+        self._answer_hits: List[int] = []
+        self._answers = AnswerCache(ANSWER_CACHE_BYTES)
         self._server: Optional[asyncio.AbstractServer] = None
         self.supervisor: Optional[ShardSupervisor] = (
             ShardSupervisor(self, **(supervisor_kwargs or {})) if supervise else None
@@ -186,15 +264,7 @@ class Gateway:
     async def start(self) -> None:
         """Start the shard fleet, the supervisor, then the HTTP server."""
         for index in range(self._n_shards):
-            shard = self._shard_factory(index)
-            await shard.start()
-            self._shards.append(shard)
-            self._inflight.append(0)
-            self._down.append(False)
-            self._generation.append(0)
-            event = asyncio.Event()
-            event.set()
-            self._recovered.append(event)
+            await self._add_shard(index)
         if self.supervisor is not None:
             self.supervisor.start()
         self._server = await asyncio.start_server(
@@ -212,11 +282,30 @@ class Gateway:
             self._server = None
         for shard in self._shards:
             await shard.stop()
-        self._shards = []
-        self._inflight = []
-        self._down = []
-        self._recovered = []
-        self._generation = []
+        self._drop_shards(0)
+
+    async def _add_shard(self, index: int) -> None:
+        """Build and start shard ``index``, with its per-shard bookkeeping."""
+        shard = self._shard_factory(index)
+        await shard.start()
+        self._shards.append(shard)
+        self._inflight.append(0)
+        self._down.append(False)
+        self._generation.append(0)
+        self._answer_hits.append(0)
+        event = asyncio.Event()
+        event.set()
+        self._recovered.append(event)
+
+    def _drop_shards(self, keep: int) -> List[Any]:
+        """Forget every shard from index ``keep`` on; returns those shards."""
+        dropped = self._shards[keep:]
+        for per_shard in (
+            self._shards, self._inflight, self._down, self._recovered,
+            self._generation, self._answer_hits,
+        ):
+            del per_shard[keep:]
+        return dropped
 
     async def __aenter__(self) -> "Gateway":
         await self.start()
@@ -313,11 +402,16 @@ class Gateway:
 
     # -- request routing ------------------------------------------------------
 
-    def shard_for(self, request: SolveRequest) -> int:
-        """The shard index that will serve this request (deterministic)."""
-        return self.shard_for_canonical_key(request.canonical_key())
+    def shard_for(
+        self, request: SolveRequest, canonical_key: Optional[str] = None
+    ) -> int:
+        """The shard index that will serve this request (deterministic).
 
-    def shard_for_canonical_key(self, canonical_key: str) -> int:
+        A caller already holding ``request.canonical_key()`` passes it in,
+        so the instance is hashed once.
+        """
+        if canonical_key is None:
+            canonical_key = request.canonical_key()
         return self._ring.shard_for(canonical_key)
 
     async def reshard(self, new_shards: int) -> Dict[str, Any]:
@@ -339,15 +433,7 @@ class Gateway:
             return {"shards": old_n, "moved_arcs": 0, "moved_fraction": 0.0}
         # Grow: start the new shards before routing to them.
         for index in range(old_n, new_shards):
-            shard = self._shard_factory(index)
-            await shard.start()
-            self._shards.append(shard)
-            self._inflight.append(0)
-            self._down.append(False)
-            self._generation.append(0)
-            event = asyncio.Event()
-            event.set()
-            self._recovered.append(event)
+            await self._add_shard(index)
         new_ring = HashRing(new_shards)
         moved_arcs, moved_fraction = ring_movement(self._ring, new_ring)
         self._ring = new_ring
@@ -356,13 +442,7 @@ class Gateway:
         self._n_shards = new_shards
         # Shrink: routing no longer reaches the dropped indices; stop them.
         if new_shards < old_n:
-            dropped = self._shards[new_shards:]
-            del self._shards[new_shards:]
-            del self._inflight[new_shards:]
-            del self._down[new_shards:]
-            del self._recovered[new_shards:]
-            del self._generation[new_shards:]
-            for shard in dropped:
+            for shard in self._drop_shards(new_shards):
                 try:
                     await shard.stop()
                 except Exception:
@@ -379,13 +459,16 @@ class Gateway:
         return reply["result"]
 
     async def handle_solve(
-        self, doc: Dict[str, Any], tenant: str = "default"
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+        self, doc: Dict[str, Any], tenant: str = "default", *, encoded: bool = False
+    ) -> Reply:
         """The full admission/routing/dispatch path for one wire request.
 
         Returns ``(http_status, payload, extra_headers)``.  Exposed
         separately from the HTTP layer so tests and oracles can drive the
-        gateway without sockets.
+        gateway without sockets.  A repeat answered from the answer cache
+        is spliced into its response body; the HTTP layer asks for that
+        body as is (``encoded=True``), other callers get it decoded, so
+        they see exactly the bytes a client receives.
         """
         ok, retry_after = self._quota.check(tenant)
         if not ok:
@@ -399,8 +482,19 @@ class Gateway:
             request = SolveRequest.from_wire(doc)
         except (ValueError, TypeError, KeyError, OverflowError) as exc:
             return 400, {"error": str(exc)}, {}
-        shard_index = self.shard_for(request)
+        canonical_key = request.canonical_key()
+        key = request.key(canonical_key)
+        shard_index = self.shard_for(request, canonical_key)
         self._count("sharded")
+        answer = self._answers.get(key)
+        if answer is not None:
+            # No shard hop, so no in-flight slot; the envelope carries the
+            # shard the ring gives now, which a reshard may have changed.
+            self._count("admitted")
+            self._count("answer_hits")
+            self._answer_hits[shard_index] += 1
+            body = _RESPONSE_TEMPLATE % (shard_index, answer)
+            return 200, (body if encoded else json.loads(body)), {}
         if self._inflight[shard_index] >= self._max_inflight:
             self._count("rejected")
             return (
@@ -440,16 +534,22 @@ class Gateway:
                     return self._unavailable(shard_index)
         finally:
             self._inflight[shard_index] -= 1
-        return (
-            200,
-            {
-                "format": WIRE_FORMAT,
-                "kind": "solve_response",
-                "shard": shard_index,
-                "result": result_doc,
-            },
-            {},
-        )
+        self._remember(key, result_doc)
+        return 200, _solve_response(shard_index, result_doc), {}
+
+    def _remember(self, key: str, result_doc: Any) -> None:
+        """Keep a shard's answer for repeats, as its own LRU hit would read.
+
+        What may be kept and how a hit reads are the serve layer's rules
+        (:func:`~repro.serve.service.cacheable`,
+        :func:`~repro.serve.service.hit_metrics`).  A reply that is not a
+        result document is not kept.
+        """
+        metrics = result_doc.get("metrics") if isinstance(result_doc, dict) else None
+        if not isinstance(metrics, dict) or not cacheable(metrics):
+            return
+        answer = dict(result_doc, metrics=hit_metrics(metrics))
+        self._answers.put(key, json.dumps(answer).encode())
 
     async def fleet_stats(self) -> Dict[str, Any]:
         """Aggregated fleet stats plus the gateway's own counters.
@@ -484,6 +584,12 @@ class Gateway:
             "gateway": dict(self.counters),
             "inflight": list(self._inflight),
             "down": list(self._down),
+            "answer_hits": list(self._answer_hits),
+            "answer_cache": {
+                "entries": len(self._answers),
+                "bytes": self._answers.size,
+                "budget": self._answers.budget,
+            },
         }
         if self.supervisor is not None:
             payload["supervisor"] = self.supervisor.status()
@@ -493,14 +599,14 @@ class Gateway:
 
     async def _route(
         self, method: str, path: str, headers: Dict[str, str], body: bytes
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    ) -> Reply:
         if method == "POST" and path == "/v1/solve":
             try:
                 doc = json.loads(body)
             except json.JSONDecodeError as exc:
                 return 400, {"error": f"bad JSON body: {exc}"}, {}
             tenant = headers.get("x-tenant", "default")
-            return await self.handle_solve(doc, tenant=tenant)
+            return await self.handle_solve(doc, tenant, encoded=True)
         if method == "GET" and path == "/v1/stats":
             return 200, await self.fleet_stats(), {}
         if method == "GET" and path == "/v1/healthz":
@@ -611,11 +717,11 @@ _STATUS_TEXT = {
 async def _write_response(
     writer: asyncio.StreamWriter,
     status: int,
-    payload: Dict[str, Any],
+    payload: Union[bytes, Dict[str, Any]],
     extra_headers: Dict[str, str],
     keep_alive: bool,
 ) -> None:
-    body = json.dumps(payload).encode()
+    body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
     lines = [
         f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Error')}",
         "Content-Type: application/json",

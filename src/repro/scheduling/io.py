@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Any, Dict, List, Union
 
 from repro.core.bas.forest import Forest
-from repro.scheduling.job import Job, JobSet
+from repro.scheduling.job import Job, JobSet, integral
 from repro.scheduling.schedule import Schedule
 from repro.scheduling.segment import Segment
 
@@ -64,7 +64,7 @@ def jobset_from_dict(data: Dict[str, Any]) -> JobSet:
         raise ValueError(f"not a repro.jobset/1 document: {data.get('format')!r}")
     return JobSet(
         Job(
-            id=int(rec["id"]),
+            id=integral(rec["id"], "job id"),
             release=_decode_number(rec["release"]),
             deadline=_decode_number(rec["deadline"]),
             length=_decode_number(rec["length"]),

@@ -61,6 +61,28 @@ def _exact_coordinate(x, job_id, name):
     return f.numerator if f.denominator == 1 else f
 
 
+def integral(x, name: str) -> int:
+    """``x`` as an ``int``, refusing anything that is not a whole number.
+
+    An integral float or ``Fraction`` (``2.0``) is its ``int``; a bool, a
+    non-integral number (``1.7``), NaN or ±inf is a ``ValueError`` instead
+    of being truncated, and a non-number is a ``TypeError``.
+    """
+    if isinstance(x, bool):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    if isinstance(x, Integral):
+        return int(x)
+    if isinstance(x, Fraction):
+        if x.denominator == 1:
+            return x.numerator
+    elif isinstance(x, Real):
+        if float(x).is_integer():
+            return int(x)
+    else:
+        raise TypeError(f"{name} must be an integer, got {type(x).__name__}")
+    raise ValueError(f"{name} must be an integer, got {x!r}")
+
+
 @dataclass(frozen=True)
 class Job:
     """One job ``⟨r, d, p, value⟩`` with a stable integer identifier.

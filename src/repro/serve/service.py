@@ -54,15 +54,38 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, fields
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.api import SolveRequest, SolveResult, solve_k_bounded
 from repro.obs.tracer import Tracer, current_tracer
 from repro.scheduling.job import JobSet
 from repro.serve.cache import LruCache
 
-__all__ = ["ServiceStats", "SolverService", "ServiceClosed"]
+__all__ = ["ServiceStats", "SolverService", "ServiceClosed", "cacheable", "hit_metrics"]
+
+
+def cacheable(metrics: Mapping[str, float]) -> bool:
+    """Whether an answer with these metrics may be cached and replayed.
+
+    A degraded answer never may: the cache key promises the full
+    pipeline's artifact, and a poisoned entry would be served to later
+    no-deadline requests.  The one caching rule, shared by this service's
+    LRU and store and by the gateway's answer cache.
+    """
+    return not metrics.get("served.degraded")
+
+
+def hit_metrics(metrics: Mapping[str, float]) -> Dict[str, float]:
+    """The metrics a cache hit on an answer with these metrics carries.
+
+    ``served.hit`` is stamped; ``served.store_hit`` (how the cached answer
+    was first fetched) is dropped.
+    """
+    hit = {name: value for name, value in metrics.items() if name != "served.store_hit"}
+    hit["served.hit"] = 1.0
+    return hit
+
 
 @dataclass(frozen=True)
 class ServiceStats:
@@ -240,7 +263,7 @@ class SolverService:
                 self._stats["hits"] += 1
                 self._count_tracer("serve.hits")
                 done: "Future[SolveResult]" = Future()
-                done.set_result(cached.with_metrics({"served.hit": 1.0}))
+                done.set_result(replace(cached, metrics=hit_metrics(cached.metrics)))
                 return done
             entry = self._inflight.get(key)
             if entry is not None:
@@ -390,18 +413,10 @@ class SolverService:
         # Persist outside the service lock: store I/O serialises on the
         # store's own lock and must not stall cache lookups.  The poisoning
         # rule extends to disk — degraded results are never persisted.
-        wrote = 0
-        if not served["served.degraded"]:
-            wrote = self._store_put(key, result)
+        keep = cacheable(served)
+        wrote = self._store_put(key, result) if keep else 0
         with self._lock:
-            if served["served.degraded"]:
-                # Never cache a degraded answer: the cache key promises the
-                # full-pipeline artifact, and a poisoned entry would be
-                # served to later no-deadline requests with no recovery
-                # short of clear_cache().
-                evicted = 0
-            else:
-                evicted = self._cache.put(key, result)
+            evicted = self._cache.put(key, result) if keep else 0
             self._drop_inflight(key, fut)
             self._stats["evictions"] += evicted
             self._stats["degraded"] += int(served["served.degraded"])

@@ -231,7 +231,7 @@ class TestGatewayBench:
         assert payload["format"] == "repro-gateway-bench/1"
         assert payload["disagreements"] == 0
         assert payload["route_mismatches"] == 0
-        assert all(s["hits"] > 0 for s in payload["per_shard"])
+        assert all(s["hits"] + s["answer_hits"] > 0 for s in payload["per_shard"])
 
     def test_gateway_bench_p99_gate_flips_exit_code(self, capsys):
         assert (

@@ -8,6 +8,7 @@ test runs a real two-process shard fleet.
 
 import asyncio
 import json
+import threading
 import warnings
 
 import pytest
@@ -29,7 +30,7 @@ from repro.gateway.bench import (
     _http_json_full,
     run_gateway_bench,
 )
-from repro.gateway.core import MAX_BODY_BYTES, MAX_HEADER_LINES
+from repro.gateway.core import MAX_BODY_BYTES, MAX_HEADER_LINES, AnswerCache
 from repro.instances import random_jobs
 
 
@@ -158,7 +159,9 @@ class TestGatewayInline:
             assert SolveResult.from_wire(repeat_payload["result"]).metrics.get(
                 "served.hit"
             )
-        assert stats["fleet"]["hits"] >= 6
+        # Every repeat hit a cache: the gateway's answer cache or, failing
+        # that, the owning shard's LRU.
+        assert stats["fleet"]["hits"] + stats["gateway"]["answer_hits"] >= 6
         assert stats["gateway"]["admitted"] == 12
         assert stats["gateway"]["sharded"] == 12
 
@@ -235,6 +238,9 @@ class TestGatewayInline:
         # Quota rejections happen before routing: only admitted requests shard.
         assert counters["sharded"] == 3
         assert counters["admitted"] == 3
+        # ... and before the answer cache: the denied third request's
+        # answer was cached, yet it got a 429.
+        assert counters["answer_hits"] == 2
 
     def test_saturated_shard_backpressures_with_429(self):
         class StuckShard:
@@ -440,7 +446,9 @@ class TestGatewayInline:
         assert payload["kind"] == "solve_response"
         assert payload["shard"] == HashRing(2).shard_for(req.canonical_key())
         assert tenant[0] == 200
-        assert stats[0] == 200 and stats[1]["fleet"]["requests"] == 2
+        # The repeat is answered by the gateway, never reaching a shard.
+        assert stats[0] == 200
+        assert stats[1]["fleet"]["requests"] + stats[1]["gateway"]["answer_hits"] == 2
         for counter in ("shard_restarts", "failovers", "ring_moves"):
             assert stats[1]["gateway"][counter] == 0  # present from day one
         assert stats[1]["supervisor"]["running"] is True
@@ -649,6 +657,338 @@ class TestNonFiniteNumbers:
         assert "error" in payload
 
 
+def _post_raw(doc):
+    """A close-after-reply ``POST /v1/solve`` carrying ``doc``."""
+    body = json.dumps(doc).encode()
+    return (
+        "POST /v1/solve HTTP/1.1\r\n"
+        f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
+    ).encode() + body
+
+
+class TestNonIntegralNumbers:
+    """Regression: ``k``, ``machines`` and a job ``id`` went through
+    ``int()``, so ``k: 1.7`` was served as k=1 — and, with the answer
+    cache keyed on the decoded request, would have shared k=1's cached
+    answer.  A non-integral number or a bool is now a 400; an integral
+    float is its int."""
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [(("k",), 1.7), (("k",), True), (("machines",), 1.5), (("machines",), True),
+         (("jobs", "jobs", 0, "id"), 0.5), (("jobs", "jobs", 0, "id"), False)],
+        ids=["k-1.7", "k-true", "machines-1.5", "machines-true", "id-0.5", "id-false"],
+    )
+    def test_non_integral_field_gets_400(self, path, value):
+        doc = _requests(1)[0].to_wire()
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+
+        async def scenario():
+            gateway = Gateway(shards=1, shard_factory=_inline_factory())
+            async with gateway:
+                # The integral neighbour is cached first, so a truncating
+                # decode would answer 200 from the cache.
+                truncated = dict(_requests(1)[0].to_wire(), k=1, machines=1)
+                await gateway.handle_solve(truncated)
+                return await _raw_exchange(gateway.port, _post_raw(doc))
+
+        raw = _run(scenario())
+        head_part, _, reply = raw.partition(b"\r\n\r\n")
+        assert head_part.startswith(b"HTTP/1.1 400 "), raw[:200]
+        assert "must be an integer" in json.loads(reply)["error"]
+
+    def test_integral_float_is_served_as_its_int(self):
+        req = _requests(1, seed=130, k=2)[0]
+
+        async def scenario():
+            gateway = Gateway(shards=2, shard_factory=_inline_factory())
+            async with gateway:
+                host, port = "127.0.0.1", gateway.port
+                as_float = await _http_json(
+                    host, port, "POST", "/v1/solve", dict(req.to_wire(), k=2.0)
+                )
+                as_int = await _http_json(host, port, "POST", "/v1/solve", req.to_wire())
+                return as_float, as_int, dict(gateway.counters)
+
+        (s1, p1), (s2, p2), counters = _run(scenario())
+        assert s1 == s2 == 200
+        direct = solve_k_bounded(req.jobs, k=2).value
+        assert SolveResult.from_wire(p1["result"]).value == direct
+        assert SolveResult.from_wire(p2["result"]).value == direct
+        assert counters["answer_hits"] == 1  # k=2.0 and k=2 share one key
+
+
+# ---------------------------------------------------------------------------
+# the gateway's answer cache
+# ---------------------------------------------------------------------------
+
+
+class _CountingShard(InlineShard):
+    """Inline shard that counts solve ops and can hold them at a gate."""
+
+    def __init__(self, **service_kwargs):
+        service_kwargs.setdefault("workers", 1)
+        super().__init__(**service_kwargs)
+        self.solves = 0
+        self.gate = asyncio.Event()
+        self.gate.set()
+
+    async def call(self, op, **payload):
+        if op == "solve":
+            self.solves += 1
+            await self.gate.wait()
+        return await super().call(op, **payload)
+
+
+def _one_shard_gateway(shard, **kwargs):
+    return Gateway(shards=1, shard_factory=lambda index: shard, supervise=False, **kwargs)
+
+
+class TestAnswerCache:
+    def test_repeat_is_answered_without_a_shard_hop(self):
+        req = _requests(1, seed=140)[0]
+
+        async def scenario():
+            shard = _CountingShard()
+            async with _one_shard_gateway(shard) as gateway:
+                first = await gateway.handle_solve(req.to_wire())
+                raw = await _raw_exchange(gateway.port, _post_raw(req.to_wire()))
+                repeat = await gateway.handle_solve(req.to_wire())
+                stats = await gateway.fleet_stats()
+            return shard.solves, first, raw, repeat, stats
+
+        solves, (s1, p1, _), raw, (s2, p2, _), stats = _run(scenario())
+        assert s1 == s2 == 200
+        assert solves == 1
+        assert stats["gateway"]["answer_hits"] == 2
+        assert stats["answer_hits"] == [2]
+        assert stats["fleet"]["requests"] == 1
+        assert stats["gateway"]["admitted"] == stats["gateway"]["sharded"] == 3
+        # The spliced body is byte for byte what encoding the payload gives.
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert body == json.dumps(p2).encode()
+        first, repeat = SolveResult.from_wire(p1["result"]), SolveResult.from_wire(p2["result"])
+        assert repeat.value == first.value
+        assert repeat.metrics["served.hit"] == 1.0
+        assert {k: v for k, v in repeat.metrics.items() if k != "served.hit"} == first.metrics
+
+    def test_key_covers_k_machines_and_method(self):
+        req = _requests(1, seed=145, n=10)[0]
+        variants = [
+            dict(req.to_wire(), k=1),
+            dict(req.to_wire(), k=2),
+            dict(req.to_wire(), k=2, method="reduction"),
+            dict(req.to_wire(), k=2, machines=2),
+        ]
+
+        async def scenario():
+            shard = _CountingShard()
+            async with _one_shard_gateway(shard) as gateway:
+                answers = [await gateway.handle_solve(doc) for doc in variants]
+                return answers, shard.solves, gateway.counters["answer_hits"]
+
+        answers, solves, hits = _run(scenario())
+        assert solves == len(variants) and hits == 0
+        for doc, (status, payload, _) in zip(variants, answers):
+            assert status == 200
+            direct = solve_k_bounded(
+                req.jobs, doc["k"], machines=doc["machines"], method=doc["method"]
+            )
+            assert SolveResult.from_wire(payload["result"]).value == direct.value
+
+    def test_store_hit_is_kept_as_a_plain_hit(self, tmp_path):
+        req = _requests(1, seed=150)[0]
+        store = str(tmp_path / "shard-00")
+
+        async def scenario():
+            async with _one_shard_gateway(InlineShard(workers=1, store_path=store)) as gw:
+                await gw.handle_solve(req.to_wire())
+            cold = InlineShard(workers=1, store_path=store, prewarm=False)
+            async with _one_shard_gateway(cold) as gw:
+                stored = await gw.handle_solve(req.to_wire())
+                repeat = await gw.handle_solve(req.to_wire())
+            return stored, repeat
+
+        (_, stored, _), (_, repeat, _) = _run(scenario())
+        assert SolveResult.from_wire(stored["result"]).metrics.get("served.store_hit")
+        metrics = SolveResult.from_wire(repeat["result"]).metrics
+        assert "served.store_hit" not in metrics and metrics["served.hit"] == 1.0
+
+    def test_degraded_answer_is_never_replayed(self):
+        req = _requests(1, seed=160)[0]
+        release = threading.Event()
+
+        def slow_full_pipeline(jobs, k, *, machines=1, method="auto", **kw):
+            if method != "lsa":
+                release.wait(10.0)
+            return solve_k_bounded(jobs, k, machines=machines, method=method, **kw)
+
+        async def scenario():
+            shard = _CountingShard(solve_fn=slow_full_pipeline)
+            async with _one_shard_gateway(shard) as gateway:
+                try:
+                    degraded = await gateway.handle_solve(
+                        dict(req.to_wire(), deadline_ms=1.0)
+                    )
+                finally:
+                    release.set()
+                full = await gateway.handle_solve(req.to_wire())
+                hits = gateway.counters["answer_hits"]
+            return degraded, full, hits, shard.solves
+
+        (_, degraded, _), (_, full, _), hits, solves = _run(scenario())
+        assert SolveResult.from_wire(degraded["result"]).degraded
+        assert not SolveResult.from_wire(full["result"]).degraded
+        assert hits == 0 and solves == 2
+
+    def test_reshard_answers_name_the_new_owner(self):
+        reqs = _requests(12, seed=170)
+        ring3 = HashRing(3)
+        moved = [r for r in reqs if ring3.shard_for(r.canonical_key()) == 2]
+        assert moved, "some key must move to the new shard"
+
+        async def scenario():
+            gateway = Gateway(shards=2, shard_factory=_inline_factory(), supervise=False)
+            async with gateway:
+                for req in reqs:
+                    await gateway.handle_solve(req.to_wire())
+                await gateway.reshard(3)
+                after = [await gateway.handle_solve(r.to_wire()) for r in reqs]
+                stats = await gateway.fleet_stats()
+            return after, stats
+
+        after, stats = _run(scenario())
+        assert stats["gateway"]["answer_hits"] == len(reqs)
+        assert stats["fleet"]["requests"] == len(reqs)  # only the first pass
+        for req, (status, payload, _) in zip(reqs, after):
+            assert status == 200
+            assert payload["shard"] == ring3.shard_for(req.canonical_key())
+        assert stats["answer_hits"][2] == len(moved)
+
+    def test_cache_evicts_past_its_byte_budget(self, monkeypatch):
+        reqs = _requests(6, seed=180)
+
+        async def fill():
+            shard = _CountingShard()
+            async with _one_shard_gateway(shard) as gateway:
+                for req in reqs:
+                    await gateway.handle_solve(req.to_wire())
+                cache = (await gateway.fleet_stats())["answer_cache"]
+                solves = shard.solves
+                await gateway.handle_solve(reqs[0].to_wire())
+                await gateway.handle_solve(reqs[-1].to_wire())
+                return cache, solves, shard.solves, gateway.counters["answer_hits"]
+
+        whole, _, _, _ = _run(fill())
+        assert whole["entries"] == len(reqs)
+        # Half the bytes all six answers take: the oldest must go.
+        budget = whole["bytes"] // 2
+        monkeypatch.setattr("repro.gateway.core.ANSWER_CACHE_BYTES", budget)
+        cache, solves, after, hits = _run(fill())
+        assert solves == len(reqs)
+        assert cache["budget"] == budget
+        assert 0 < cache["bytes"] <= budget
+        assert 0 < cache["entries"] < len(reqs)
+        # The first request was evicted (a shard hop), the last one kept.
+        assert after == solves + 1 and hits == 1
+
+    def test_answer_cache_lru_accounting(self):
+        cache = AnswerCache(30)
+        cache.put("a", b"x" * 9)  # costs 10
+        cache.put("b", b"x" * 9)
+        cache.put("c", b"x" * 9)
+        assert cache.get("a") == b"x" * 9  # refreshes a
+        cache.put("d", b"x" * 9)  # evicts b, the least recently used
+        assert cache.get("b") is None and cache.get("a") is not None
+        assert (len(cache), cache.size) == (3, 30)
+        cache.put("a", b"x")  # replacing an entry re-costs it
+        assert cache.size == 22
+        cache.put("huge", b"x" * 40)  # larger than the budget: not kept
+        assert cache.get("huge") is None and cache.size == 22
+
+    def test_hit_takes_no_inflight_slot(self):
+        cached, other = _requests(2, seed=190)
+
+        async def scenario():
+            shard = _CountingShard()
+            async with _one_shard_gateway(shard, max_inflight_per_shard=1) as gateway:
+                await gateway.handle_solve(cached.to_wire())
+                shard.gate.clear()
+                blocked = asyncio.ensure_future(gateway.handle_solve(other.to_wire()))
+                await asyncio.sleep(0.05)  # ``other`` now holds the only slot
+                saturated = await gateway.handle_solve(other.to_wire())
+                hit = await gateway.handle_solve(cached.to_wire())
+                shard.gate.set()
+                await blocked
+            return saturated, hit
+
+        (s_status, _, _), (h_status, _, _) = _run(scenario())
+        assert s_status == 429
+        assert h_status == 200
+
+
+class TestDownShardAvailability:
+    def test_cached_key_answers_while_its_shard_is_down(self):
+        reqs = _requests(12, seed=200)
+        ring = HashRing(2)
+
+        async def scenario():
+            gateway = Gateway(
+                shards=2, shard_factory=_inline_factory(), supervise=False,
+                failover_retry_s=0.1, failover_retry_after_s=2.0,
+            )
+            async with gateway:
+                cached = reqs[0]
+                owner = ring.shard_for(cached.canonical_key())
+                uncached = next(
+                    r for r in reqs[1:] if ring.shard_for(r.canonical_key()) == owner
+                )
+                await gateway.handle_solve(cached.to_wire())
+                gateway._mark_down(owner)
+                hit = await gateway.handle_solve(cached.to_wire())
+                miss = await gateway.handle_solve(uncached.to_wire())
+                counters = dict(gateway.counters)
+            return owner, hit, miss, counters
+
+        owner, (h_status, h_payload, _), miss, counters = _run(scenario())
+        assert h_status == 200 and h_payload["shard"] == owner
+        m_status, m_payload, m_headers = miss
+        assert m_status == 503 and m_payload["error"] == "shard restarting"
+        assert m_headers["Retry-After"] == "2"
+        assert counters["answer_hits"] == 1 and counters["failovers"] == 1
+
+    def test_reply_without_a_result_document_is_not_cached(self):
+        class NoResultShard:
+            solves = 0
+
+            async def start(self):
+                pass
+
+            async def call(self, op, **payload):
+                if op == "solve":
+                    self.solves += 1
+                return {"ok": True, "result": None}
+
+            async def stop(self):
+                pass
+
+        req = _requests(1, seed=210)[0]
+
+        async def scenario():
+            shard = NoResultShard()
+            async with _one_shard_gateway(shard) as gateway:
+                answers = [await gateway.handle_solve(req.to_wire()) for _ in range(2)]
+                return answers, shard.solves, gateway.counters["answer_hits"]
+
+        answers, solves, hits = _run(scenario())
+        assert [status for status, _, _ in answers] == [200, 200]
+        assert solves == 2 and hits == 0
+
+
 # ---------------------------------------------------------------------------
 # real process fleet
 # ---------------------------------------------------------------------------
@@ -678,7 +1018,9 @@ class TestGatewayProcessFleet:
             served = SolveResult.from_wire(payload["result"])
             assert served.value == solve_k_bounded(req.jobs, k=req.k).value
         assert stats_status == 200
-        assert stats_payload["fleet"]["hits"] >= 4  # whole second pass hit
+        # The whole second pass hit a cache (the gateway's or a shard's).
+        fleet_hits = stats_payload["fleet"]["hits"]
+        assert fleet_hits + stats_payload["gateway"]["answer_hits"] >= 4
         assert stats_payload["fleet"]["misses"] == 4
 
 
@@ -704,8 +1046,12 @@ class TestGatewayBench:
         assert payload["errors"] == 0
         assert payload["completed"] == payload["sent"]
         assert payload["p99_ms"] >= payload["p50_ms"] > 0
+        # Some timed requests were never sent before, so they reached a
+        # shard: its misses outnumber the corpus' first pass.
+        assert payload["fresh"] > 0
+        assert payload["fleet"]["misses"] > payload["params"]["corpus"]
         assert len(payload["per_shard"]) == 2
-        assert all(s["hits"] > 0 for s in payload["per_shard"])
+        assert all(s["hits"] + s["answer_hits"] > 0 for s in payload["per_shard"])
         assert payload["gateway"]["admitted"] > 0
         assert payload["gateway"]["quota_denied"] == 0
         assert payload["client_pool"]["reused"] > 0
@@ -887,18 +1233,22 @@ class TestSupervisor:
                     if gateway.counters["shard_restarts"] >= 1:
                         break
                     await asyncio.sleep(0.02)
+                replaced = gateway._shards[owner] is not victim
+                # The gateway keeps the first answer, so the probe takes the
+                # shard hop itself to prove the replacement serves.
+                probe = await gateway._dispatch(owner, req.to_wire())
                 second = await gateway.handle_solve(req.to_wire())
                 stats = await gateway.fleet_stats()
-                replaced = gateway._shards[owner] is not victim
-            return first, second, stats, replaced
+            return first, probe, second, stats, replaced
 
-        (s1, p1, _), (s2, p2, _), stats, replaced = _run(scenario())
+        (s1, p1, _), probe, (s2, p2, _), stats, replaced = _run(scenario())
         assert s1 == 200 and s2 == 200
         assert replaced
-        assert (
-            SolveResult.from_wire(p2["result"]).value
-            == SolveResult.from_wire(p1["result"]).value
-        )
+        value = SolveResult.from_wire(p1["result"]).value
+        probed = SolveResult.from_wire(probe)
+        assert probed.value == value
+        assert not probed.metrics.get("served.hit")  # the replacement's own solve
+        assert SolveResult.from_wire(p2["result"]).value == value
         assert stats["gateway"]["shard_restarts"] == 1
         incidents = stats["supervisor"]["incidents"]
         assert len(incidents) == 1

@@ -11,6 +11,7 @@ a held-out repeat from its re-warmed ``shard-NN`` store.
 """
 
 import asyncio
+import itertools
 import tempfile
 
 import pytest
@@ -19,6 +20,7 @@ from repro.api import SolveRequest, SolveResult, solve_k_bounded
 from repro.gateway import Gateway
 from repro.gateway.bench import _http_json
 from repro.instances import random_jobs
+from repro.scheduling.io import schedule_to_dict
 from repro.utils import faults
 
 
@@ -48,10 +50,12 @@ class TestGatewayChaos:
                 # off the shard's disk store (served.store_hit), not a
                 # prewarmed LRU.
                 service_kwargs={"workers": 1, "prewarm": False},
+                # The first restart attempt waits out a 0.1 s backoff, so the
+                # outage lasts long enough that the load surely meets it.
                 supervisor_kwargs=dict(
                     interval_s=0.05,
                     ping_timeout_s=0.5,
-                    backoff_base_s=0.02,
+                    backoff_base_s=0.1,
                     backoff_max_s=0.1,
                 ),
             )
@@ -74,14 +78,24 @@ class TestGatewayChaos:
                 hold_out = victims[0]
                 load_reqs = [r for r in reqs if r is not hold_out]
 
+                # The gateway answers warmed repeats itself, so three in
+                # four load requests are instances never sent before: they
+                # must reach their shard, and so meet the kill.
+                fresh = (
+                    SolveRequest(jobs=random_jobs(8, seed=5000 + i), k=1)
+                    for i in itertools.count()
+                )
                 statuses = []
-                wrong = []
+                answers = []
                 stop = asyncio.Event()
 
                 async def client(offset):
                     step = 0
                     while not stop.is_set():
-                        req = load_reqs[(offset + step) % len(load_reqs)]
+                        if step % 4 == 3:
+                            req = load_reqs[(offset + step) % len(load_reqs)]
+                        else:
+                            req = next(fresh)
                         step += 1
                         try:
                             status, payload = await _http_json(
@@ -92,8 +106,7 @@ class TestGatewayChaos:
                         statuses.append(status)
                         if status == 200:
                             served = SolveResult.from_wire(payload["result"])
-                            if served.value != expected[req.canonical_key()]:
-                                wrong.append(req.canonical_key())
+                            answers.append((req, served.value))
                         await asyncio.sleep(0.01)
 
                 clients = [asyncio.ensure_future(client(i)) for i in range(4)]
@@ -119,23 +132,50 @@ class TestGatewayChaos:
                 await asyncio.gather(*clients)
 
                 # The held-out repeat is served by the restarted worker
-                # from its re-warmed store — same value, no re-solve.
+                # from its re-warmed store — same value, no re-solve.  The
+                # gateway keeps the warm-up answer too, so the probe takes
+                # the shard hop itself to reach the worker.
+                owner = gateway.shard_for(hold_out)
+                assert owner == _VICTIM
+                probed = SolveResult.from_wire(
+                    await gateway._dispatch(owner, hold_out.to_wire())
+                )
+                assert probed.value == expected[hold_out.canonical_key()]
+                assert probed.metrics.get("served.store_hit")
+                # Over HTTP the same key gets the same answer, on the same
+                # route.
                 status, payload = await _http_json(
                     host, port, "POST", "/v1/solve", hold_out.to_wire()
                 )
                 assert status == 200
+                assert payload["shard"] == owner
                 served = SolveResult.from_wire(payload["result"])
-                assert served.value == expected[hold_out.canonical_key()]
-                assert served.metrics.get("served.store_hit")
+                assert served.value == probed.value
+                assert served.preemptions_used == probed.preemptions_used
+                assert schedule_to_dict(served.schedule) == schedule_to_dict(
+                    probed.schedule
+                )
 
                 stats = await gateway.fleet_stats()
-            return statuses, wrong, stats
+            return statuses, answers, stats
 
         with tempfile.TemporaryDirectory(prefix="repro-chaos-") as store_dir:
-            statuses, wrong, stats = asyncio.run(scenario(store_dir))
+            statuses, answers, stats = asyncio.run(scenario(store_dir))
 
+        for req, value in answers:
+            key = req.canonical_key()
+            if key not in expected:
+                expected[key] = solve_k_bounded(req.jobs, k=req.k).value
+        wrong = [
+            req.canonical_key()
+            for req, value in answers
+            if value != expected[req.canonical_key()]
+        ]
         assert wrong == []  # zero wrong answers, the chaos contract
         assert statuses, "load generator never ran"
+        # The kill met requests: some reached the dead or restarting shard
+        # and took the in-gateway failover path.
+        assert stats["gateway"]["failovers"] >= 1
         # During the outage the only acceptable degradation is a clean
         # 503 from the failover path — never a raw transport error.
         assert set(statuses) <= {200, 503}
@@ -184,18 +224,20 @@ class TestGatewayChaos:
                     ):
                         break
                     await asyncio.sleep(0.05)
+                # The gateway keeps the first answer, so the probe takes the
+                # hop to the dropped shard itself to prove its link healed.
+                probe = await gateway._dispatch(_VICTIM, req.to_wire())
                 status, second = await _http_json(
                     host, port, "POST", "/v1/solve", req.to_wire()
                 )
                 stats = await gateway.fleet_stats()
-            return first, (status, second), stats
+            return first, probe, (status, second), stats
 
-        first, (status, second), stats = asyncio.run(scenario())
+        first, probe, (status, second), stats = asyncio.run(scenario())
+        value = SolveResult.from_wire(first["result"]).value
+        assert SolveResult.from_wire(probe).value == value
         assert status == 200
-        assert (
-            SolveResult.from_wire(second["result"]).value
-            == SolveResult.from_wire(first["result"]).value
-        )
+        assert SolveResult.from_wire(second["result"]).value == value
         assert stats["gateway"]["shard_restarts"] >= 1
         assert stats["supervisor"]["incidents"]
         assert stats["down"] == [False, False]

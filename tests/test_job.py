@@ -4,7 +4,22 @@ from fractions import Fraction
 
 import pytest
 
-from repro.scheduling.job import Job, JobSet, make_jobs
+from repro.scheduling.job import Job, JobSet, integral, make_jobs
+
+
+class TestIntegral:
+    @pytest.mark.parametrize("x", [3, 3.0, Fraction(6, 2), -2.0])
+    def test_whole_numbers_become_ints(self, x):
+        assert integral(x, "k") == int(x) and type(integral(x, "k")) is int
+
+    @pytest.mark.parametrize("x", [1.7, Fraction(1, 2), True, float("nan"), float("-inf")])
+    def test_refuses_what_int_would_truncate(self, x):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            integral(x, "k")
+
+    def test_refuses_non_numbers(self):
+        with pytest.raises(TypeError, match="k must be an integer"):
+            integral("3", "k")
 
 
 class TestJobValidation:

@@ -23,6 +23,7 @@ from repro.instances import random_integral_jobs, random_jobs
 from repro.scheduling.job import Job, JobSet
 from repro.scheduling.verify import verify_schedule
 from repro.serve import LruCache, ServiceClosed, SolverService
+from repro.serve.service import cacheable, hit_metrics
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +136,25 @@ class TestLruCache:
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             LruCache(0)
+
+
+class TestCachingRules:
+    def test_degraded_answers_are_not_cacheable(self):
+        assert cacheable({"served.degraded": 0.0, "served.wall_ms": 3.0})
+        assert cacheable({})  # a direct solve carries no served block
+        assert not cacheable({"served.degraded": 1.0})
+
+    def test_hit_metrics_stamp_the_hit_and_drop_store_provenance(self):
+        served = {"served.wall_ms": 3.0, "served.store_hit": 1.0}
+        assert hit_metrics(served) == {"served.wall_ms": 3.0, "served.hit": 1.0}
+        assert served == {"served.wall_ms": 3.0, "served.store_hit": 1.0}
+
+    def test_service_hit_reads_as_hit_metrics_say(self):
+        jobs = random_jobs(8, seed=3)
+        with SolverService(workers=1) as svc:
+            first = svc.solve(SolveRequest(jobs=jobs, k=1))
+            hit = svc.solve(SolveRequest(jobs=jobs, k=1))
+        assert hit.metrics == hit_metrics(first.metrics)
 
 
 # ---------------------------------------------------------------------------

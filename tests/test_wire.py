@@ -196,6 +196,34 @@ def test_request_validation(jobs):
         SolveRequest(jobs=list(jobs.jobs), k=1)
 
 
+@pytest.mark.parametrize("field", ["k", "machines"])
+@pytest.mark.parametrize("bad", [1.7, 2.5, True, False, float("nan"), float("inf")])
+def test_request_refuses_non_integral_counts(jobs, field, bad):
+    """``int()`` used to truncate, so ``k: 1.7`` was served as k=1."""
+    with pytest.raises(ValueError, match="must be an integer"):
+        SolveRequest(jobs=jobs, **dict({"k": 1, "machines": 1}, **{field: bad}))
+
+
+def test_request_takes_integral_floats_as_ints(jobs):
+    req = SolveRequest(jobs=jobs, k=2.0, machines=Fraction(2, 2))
+    assert (req.k, req.machines) == (2, 1)
+    assert type(req.k) is int and type(req.machines) is int
+    assert req.key() == SolveRequest(jobs=jobs, k=2).key()
+
+
+@pytest.mark.parametrize("bad", [0.5, True])
+def test_job_id_on_the_wire_must_be_an_integer(jobs, bad):
+    doc = SolveRequest(jobs=jobs, k=1).to_wire()
+    doc["jobs"]["jobs"][0]["id"] = bad
+    with pytest.raises(ValueError, match="job id must be an integer"):
+        SolveRequest.from_wire(doc)
+
+
+def test_request_key_reuses_a_given_canonical_key(jobs):
+    req = SolveRequest(jobs=jobs, k=2, method="lsa")
+    assert req.key(req.canonical_key()) == req.key()
+
+
 def test_request_is_frozen_and_hashable(jobs):
     req = SolveRequest(jobs=jobs, k=2)
     with pytest.raises(AttributeError):
