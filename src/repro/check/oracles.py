@@ -434,6 +434,64 @@ def _solve_deterministic(case: Case) -> Optional[str]:
     return None
 
 
+def _reference_canonical_key(jobs: JobSet) -> str:
+    """:meth:`JobSet.canonical_key` rebuilt with the general ``Fraction(x)``
+    token for every coordinate — the path its int and ``Fraction`` fast
+    paths skip — as a deliberately independent tokenizer."""
+    import hashlib
+    from fractions import Fraction
+
+    def token(x) -> str:
+        f = Fraction(x)
+        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+    rows = sorted(jobs, key=lambda j: (j.release, j.deadline, j.length, j.value, j.id))
+    text = "|".join(
+        ",".join((token(j.release), token(j.deadline), token(j.length), token(j.value), str(j.id)))
+        for j in rows
+    )
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+@register_oracle(
+    "canonical-key",
+    "jobs",
+    "the instance key survives a wire round-trip, a permutation and int→Fraction "
+    "retyping, and equals a reference Fraction tokenizer",
+)
+def _canonical_key(case: Case) -> Optional[str]:
+    """Keys are persisted in stores and route requests to shards, so every
+    representation of one instance must hash alike, and exactly as the
+    general tokenizer does."""
+    import json
+    from fractions import Fraction
+
+    from repro.api import SolveRequest
+
+    jobs, k = case.payload, case.params["k"]
+    key = jobs.canonical_key()
+    reference = _reference_canonical_key(jobs)
+    if key != reference:
+        return f"canonical key {key[:12]}… differs from the reference tokenizer's {reference[:12]}…"
+    wire = json.loads(json.dumps(SolveRequest(jobs=jobs, k=k).to_wire()))
+
+    def retyped(x):
+        return Fraction(x) if type(x) is int else x
+
+    variants = {
+        "a wire round-trip": SolveRequest.from_wire(wire).jobs,
+        "a job permutation": JobSet(reversed(jobs.jobs)),
+        "int→Fraction retyping": JobSet(
+            Job(j.id, retyped(j.release), retyped(j.deadline), retyped(j.length), retyped(j.value))
+            for j in jobs
+        ),
+    }
+    for label, other in variants.items():
+        if other.canonical_key() != key:
+            return f"canonical key changed under {label} (n={jobs.n})"
+    return None
+
+
 @register_oracle(
     "served-vs-direct",
     "jobs",

@@ -19,7 +19,8 @@ deps) that:
   non-degraded shard answer is kept as encoded bytes in a gateway LRU
   bounded by :data:`ANSWER_CACHE_BYTES`.  A repeat is answered by splicing
   those bytes into the response envelope — no shard hop, no in-flight
-  slot, no JSON re-encode — even while its shard is down;
+  slot, no JSON re-encode — even while its shard is down.  A shard's
+  answer is encoded once, for its reply and the cache entry alike;
 * **dispatches** every other admitted request to its shard as one
   ``solve`` op the moment it is admitted.  The shard link is multiplexed
   by message id, so concurrent requests to one shard are in flight
@@ -120,21 +121,11 @@ class AnswerCache:
             self.size -= len(old_key) + len(old_value)
 
 
-def _solve_response(shard_index: int, result_doc: Any) -> Dict[str, Any]:
-    """The ``solve_response`` payload for one answer from ``shard_index``."""
-    return {
-        "format": WIRE_FORMAT,
-        "kind": "solve_response",
-        "shard": shard_index,
-        "result": result_doc,
-    }
-
-
-#: :func:`_solve_response` as ``json.dumps`` lays it out, with ``%d`` and
-#: ``%s`` slots for the shard index and an encoded result: a cached answer
-#: is spliced in without decoding or re-encoding it.
+#: The ``solve_response`` envelope as ``json.dumps`` lays it out, with ``%d``
+#: and ``%s`` slots for the shard index and an encoded result: every answer,
+#: fresh or cached, is spliced in without decoding or re-encoding it.
 _RESPONSE_TEMPLATE = (
-    json.dumps(_solve_response(0, None))
+    json.dumps({"format": WIRE_FORMAT, "kind": "solve_response", "shard": 0, "result": None})
     .replace('"shard": 0, "result": null}', '"shard": %d, "result": %s}')
     .encode()
 )
@@ -465,10 +456,10 @@ class Gateway:
 
         Returns ``(http_status, payload, extra_headers)``.  Exposed
         separately from the HTTP layer so tests and oracles can drive the
-        gateway without sockets.  A repeat answered from the answer cache
-        is spliced into its response body; the HTTP layer asks for that
-        body as is (``encoded=True``), other callers get it decoded, so
-        they see exactly the bytes a client receives.
+        gateway without sockets.  An answer, from a shard or from the
+        answer cache, is spliced into its response body; the HTTP layer
+        asks for that body as is (``encoded=True``), other callers get it
+        decoded, so they see exactly the bytes a client receives.
         """
         ok, retry_after = self._quota.check(tenant)
         if not ok:
@@ -534,22 +525,29 @@ class Gateway:
                     return self._unavailable(shard_index)
         finally:
             self._inflight[shard_index] -= 1
-        self._remember(key, result_doc)
-        return 200, _solve_response(shard_index, result_doc), {}
+        body = _RESPONSE_TEMPLATE % (shard_index, self._remember(key, result_doc))
+        return 200, (body if encoded else json.loads(body)), {}
 
-    def _remember(self, key: str, result_doc: Any) -> None:
-        """Keep a shard's answer for repeats, as its own LRU hit would read.
+    def _remember(self, key: str, result_doc: Any) -> bytes:
+        """Encode a shard's answer once; keep it for repeats, as its own LRU
+        hit would read.  Returns the answer's encoding for the reply.
 
-        What may be kept and how a hit reads are the serve layer's rules
-        (:func:`~repro.serve.service.cacheable`,
+        Everything but the metrics is encoded once and shared: the reply
+        and the kept answer differ only in their metrics block, which goes
+        last.  What may be kept and how a hit reads are the serve layer's
+        rules (:func:`~repro.serve.service.cacheable`,
         :func:`~repro.serve.service.hit_metrics`).  A reply that is not a
         result document is not kept.
         """
         metrics = result_doc.get("metrics") if isinstance(result_doc, dict) else None
         if not isinstance(metrics, dict) or not cacheable(metrics):
-            return
-        answer = dict(result_doc, metrics=hit_metrics(metrics))
-        self._answers.put(key, json.dumps(answer).encode())
+            return json.dumps(result_doc).encode()
+        # json.dumps ends a dict whose last value is None with "null}".
+        doc = {name: value for name, value in result_doc.items() if name != "metrics"}
+        doc["metrics"] = None
+        head = json.dumps(doc)[: -len("null}")]
+        self._answers.put(key, f"{head}{json.dumps(hit_metrics(metrics))}}}".encode())
+        return f"{head}{json.dumps(metrics)}}}".encode()
 
     async def fleet_stats(self) -> Dict[str, Any]:
         """Aggregated fleet stats plus the gateway's own counters.

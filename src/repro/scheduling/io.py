@@ -22,6 +22,8 @@ Number = Union[int, float, Fraction]
 
 
 def _encode_number(x: Number) -> Any:
+    if type(x) is int:
+        return x
     if isinstance(x, bool):  # bool is an int; reject to avoid silent weirdness
         raise TypeError("booleans are not valid time/value coordinates")
     if isinstance(x, Fraction):

@@ -14,12 +14,12 @@ are phrased in:
 :class:`Job` is the one place numbers enter the model.  ``release``,
 ``deadline`` and ``length`` become exact rationals: an ``int`` (or a
 ``Fraction`` with denominator 1) is an ``int``, and a ``float`` is read as
-its shortest decimal text, so JSON ``3.7`` is ``37/10``.  NaN and ±inf are
-rejected.  Everything downstream compares time with plain operators, so no
-verdict depends on a tolerance.  Note that ``0.7 + 0.1`` is the float
-``0.7999999999999999``, too short for length ``0.1``: build zero-slack
-windows from ints or Fractions.  ``value`` keeps its type and must be
-finite and positive.
+its shortest decimal text, so JSON ``3.7`` is ``37/10``.  NaN, ±inf and
+bools are rejected.  Everything downstream compares time with plain
+operators, so no verdict depends on a tolerance.  Note that ``0.7 + 0.1``
+is the float ``0.7999999999999999``, too short for length ``0.1``: build
+zero-slack windows from ints or Fractions.  ``value`` keeps its type and
+must be finite and positive, and not a bool.
 """
 
 from __future__ import annotations
@@ -37,9 +37,14 @@ def _canonical_number(x) -> str:
 
     ``Fraction`` accepts int, float and Fraction and is exact for all of
     them (floats convert via their binary expansion), so numerically equal
-    coordinates of different Python types produce the same token.
+    coordinates of different Python types produce the same token.  An
+    ``int`` or a ``Fraction`` is tokenized as it is, without building a
+    new ``Fraction``; its token is the same bytes either way, as it must
+    be, since stores persist keys.
     """
-    f = Fraction(x)
+    if type(x) is int:
+        return str(x)
+    f = x if type(x) is Fraction else Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
@@ -47,6 +52,8 @@ def _exact_coordinate(x, job_id, name):
     """``x`` as an exact rational: ``int`` when integral, else ``Fraction``."""
     if type(x) is int:
         return x
+    if isinstance(x, bool):
+        raise TypeError(f"job {job_id}: {name} must be a real number, got bool")
     if isinstance(x, Fraction):
         f = x
     elif isinstance(x, Integral):
@@ -68,6 +75,8 @@ def integral(x, name: str) -> int:
     non-integral number (``1.7``), NaN or ±inf is a ``ValueError`` instead
     of being truncated, and a non-number is a ``TypeError``.
     """
+    if type(x) is int:
+        return x
     if isinstance(x, bool):
         raise ValueError(f"{name} must be an integer, got {x!r}")
     if isinstance(x, Integral):
@@ -100,10 +109,13 @@ class Job:
     value: object = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("release", "deadline", "length"):
-            object.__setattr__(
-                self, name, _exact_coordinate(getattr(self, name), self.id, name)
-            )
+        if not type(self.release) is type(self.deadline) is type(self.length) is int:
+            for name in ("release", "deadline", "length"):
+                object.__setattr__(
+                    self, name, _exact_coordinate(getattr(self, name), self.id, name)
+                )
+        if isinstance(self.value, bool):
+            raise TypeError(f"job {self.id}: value must be a real number, got bool")
         if self.length <= 0:
             raise ValueError(f"job {self.id}: length must be positive, got {self.length}")
         if not 0 < self.value < math.inf:

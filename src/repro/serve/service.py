@@ -21,12 +21,14 @@ sweep cells and paper instances get re-requested constantly):
   cached: the cache key promises the full-pipeline artifact;
 * **durable second tier** — a service constructed with ``store=`` or
   ``store_path=`` mounts a :class:`repro.store.ResultStore` between the
-  memory LRU and the cold solve (lookup order: LRU → store → solve).
-  Store hits are stamped ``metrics["served.store_hit"]`` and promoted
-  into the LRU; cold non-degraded results are persisted (the poisoning
-  rule extends to disk); the LRU is prewarmed from the store at
-  construction.  Store I/O failures are swallowed and counted — a broken
-  disk degrades the service to memory-only, never to erroring requests.
+  memory LRU and the cold solve (lookup order: LRU → store → solve; the
+  store is read on the submitting thread, so the worker pool runs only
+  cold solves).  Store hits are stamped ``metrics["served.store_hit"]``
+  and promoted into the LRU; cold non-degraded results are persisted
+  (the poisoning rule extends to disk); the LRU is prewarmed from the
+  store at construction.  Store I/O failures are swallowed and counted —
+  a broken disk degrades the service to memory-only, never to erroring
+  requests.
 
 The API is synchronous-friendly and takes one value object per request:
 :meth:`SolverService.submit` accepts a single
@@ -239,10 +241,12 @@ class SolverService:
         ``metrics["served.hit"]``); a duplicate of an in-flight request
         shares the leader's future when their deadlines are compatible (a
         no-deadline request never rides a deadline-bound leader, whose
-        answer may be degraded — it replaces it as the key's leader);
-        everything else dispatches to the worker pool.  Argument
-        validation errors raise here, in the caller's thread — only solver
-        failures travel through the future.
+        answer may be degraded — it replaces it as the key's leader); a
+        miss the durable store holds is read here, on the caller's thread,
+        and resolves before this returns (``metrics["served.store_hit"]``);
+        everything else dispatches to the worker pool, which runs only
+        solves.  Argument validation errors raise here, in the caller's
+        thread — only solver failures travel through the future.
         """
         if not isinstance(request, SolveRequest):
             raise TypeError(
@@ -280,6 +284,8 @@ class SolverService:
             self._inflight[key] = (fut, deadline_ms)
             self._stats["misses"] += 1
             self._count_tracer("serve.misses")
+        if self._store is not None and self._resolve_from_store(key, fut):
+            return fut
         try:
             self._pool.submit(
                 self._run, key, fut, request.jobs, request.k, request.machines,
@@ -334,16 +340,6 @@ class SolverService:
         if entry is not None and entry[0] is fut:
             del self._inflight[key]
 
-    def _store_get(self, key: str) -> Optional[SolveResult]:
-        # Store I/O must never fail a request: any store-side exception is
-        # treated as a miss (the cold solve is always a safe fallback).
-        if self._store is None:
-            return None
-        try:
-            return self._store.get(key)
-        except Exception:
-            return None
-
     def _store_put(self, key: str, result: SolveResult) -> int:
         # Returns 1 on a new durable write, 0 otherwise; never raises.
         if self._store is None:
@@ -352,6 +348,39 @@ class SolverService:
             return int(self._store.put(key, result))
         except Exception:
             return 0
+
+    def _resolve_from_store(self, key: str, fut: "Future[SolveResult]") -> bool:
+        """Answer a registered miss from the durable tier, if it holds the key.
+
+        Runs on the caller's thread, outside the service lock, so a store
+        hit never queues behind a cold solve and the pool runs only solves.
+        The miss stays registered in flight meanwhile, so a concurrent
+        duplicate coalesces onto ``fut`` as it would onto a solve.
+        """
+        try:
+            stored = self._store.get(key)
+        except Exception:
+            # Store I/O must never fail a request: a store-side exception is
+            # a miss (the cold solve is always a safe fallback).
+            stored = None
+        if stored is None:
+            with self._lock:
+                self._stats["store_misses"] += 1
+                self._count_tracer("store.misses")
+            return False
+        # The durable tier only holds full-pipeline artifacts, so a store
+        # hit satisfies deadline-bound and unbound requests alike.  It is
+        # promoted into the LRU.
+        with self._lock:
+            evicted = self._cache.put(key, stored)
+            self._drop_inflight(key, fut)
+            self._stats["store_hits"] += 1
+            self._stats["evictions"] += evicted
+            self._count_tracer("store.hits")
+            if evicted:
+                self._count_tracer("serve.evictions", evicted)
+        fut.set_result(stored.with_metrics({"served.store_hit": 1.0}))
+        return True
 
     def _run(
         self,
@@ -363,26 +392,6 @@ class SolverService:
         method: str,
         deadline_ms: Optional[float],
     ) -> None:
-        if self._store is not None:
-            stored = self._store_get(key)
-            if stored is not None:
-                # The durable tier only holds full-pipeline artifacts, so a
-                # store hit satisfies deadline-bound and unbound requests
-                # alike — and is always faster than degrading.  It is
-                # promoted into the LRU.
-                with self._lock:
-                    evicted = self._cache.put(key, stored)
-                    self._drop_inflight(key, fut)
-                    self._stats["store_hits"] += 1
-                    self._stats["evictions"] += evicted
-                    self._count_tracer("store.hits")
-                    if evicted:
-                        self._count_tracer("serve.evictions", evicted)
-                fut.set_result(stored.with_metrics({"served.store_hit": 1.0}))
-                return
-            with self._lock:
-                self._stats["store_misses"] += 1
-                self._count_tracer("store.misses")
         tracer = Tracer()
         try:
             with tracer.activate():

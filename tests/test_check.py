@@ -267,6 +267,25 @@ class TestEngineFires:
             "tm-vs-milp",
         }
 
+    def test_canonical_key_oracle_catches_a_drifted_tokenizer(self, monkeypatch):
+        from repro.scheduling import job
+
+        general = job._canonical_number
+        monkeypatch.setattr(
+            job, "_canonical_number", lambda x: f"{x}/1" if type(x) is int else general(x)
+        )
+        report = run_fuzz(
+            seed=0,
+            instances=5,
+            domains=("jobs",),
+            oracle_names=["canonical-key"],
+            out_dir="",
+            max_disagreements=1,
+            static_invariants=False,
+        )
+        assert not report.ok
+        assert "reference tokenizer" in report.disagreements[0].detail
+
     def test_counterexample_file_schema(self, tmp_path):
         with faults.inject("tm.loop.topk-order"):
             report = run_fuzz(

@@ -720,6 +720,29 @@ class TestNonIntegralNumbers:
         assert SolveResult.from_wire(p2["result"]).value == direct
         assert counters["answer_hits"] == 1  # k=2.0 and k=2 share one key
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("release", False), ("deadline", True), ("length", True), ("value", True)],
+    )
+    def test_bool_job_coordinate_gets_400_before_routing(self, field, value):
+        # Regression: `"release": false` and `"length": true` were read as 0
+        # and 1 and served a 200; `"value": true` was routed and solved, and
+        # only the shard's result encode turned it into a 400.
+        doc = _requests(1)[0].to_wire()
+        doc["jobs"]["jobs"][0][field] = value
+
+        async def scenario():
+            shard = _CountingShard()
+            async with _one_shard_gateway(shard) as gateway:
+                raw = await _raw_exchange(gateway.port, _post_raw(doc))
+                return raw, shard.solves, dict(gateway.counters)
+
+        raw, solves, counters = _run(scenario())
+        head_part, _, reply = raw.partition(b"\r\n\r\n")
+        assert head_part.startswith(b"HTTP/1.1 400 "), raw[:200]
+        assert f"{field} must be a real number, got bool" in json.loads(reply)["error"]
+        assert solves == 0 and counters["sharded"] == 0
+
 
 # ---------------------------------------------------------------------------
 # the gateway's answer cache

@@ -122,6 +122,16 @@ class TestExactCoordinates:
         with pytest.raises(TypeError):
             Job(0, "0", 10, 4)
 
+    @pytest.mark.parametrize("field", ["release", "deadline", "length", "value"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejects_bools(self, field, flag):
+        # A bool is an int to Python; read as 0 or 1 it turned JSON `false`
+        # into a served release time.
+        kwargs = {"release": 0, "deadline": 10, "length": 4, "value": 2}
+        kwargs[field] = flag
+        with pytest.raises(TypeError, match=f"{field} must be a real number, got bool"):
+            Job(0, **kwargs)
+
 
 class TestJobSetBasics:
     def test_len_iter_contains(self, simple_jobs):

@@ -92,6 +92,40 @@ class TestCanonicalKey:
                 assert same, f"collision between distinct instances at case {i}"
             keys[key] = js
 
+    #: Keys are persisted in result stores, so their bytes are frozen: a
+    #: tokenizer change that moved any of these digests would orphan every
+    #: stored answer.  The digests were taken before the int/Fraction fast
+    #: paths in ``_canonical_number`` existed.
+    @pytest.mark.parametrize(
+        "rows, digest",
+        [
+            (
+                [(0, 0, 5, 2, 3), (1, 1, 7, 3, 1), (2, 2, 4, 1, 2), (3, 0, 9, 4, 5)],
+                "b92474371864be97443e2e72e1a9ca3886d90f26af5695ba3737e1b9299720cd",
+            ),
+            (
+                [
+                    (0, Fraction(1, 3), Fraction(7, 2), Fraction(5, 4), Fraction(3, 2)),
+                    (1, Fraction(0), Fraction(9, 4), Fraction(1, 2), Fraction(7)),
+                    (2, Fraction(2, 3), Fraction(11, 3), Fraction(3, 1), Fraction(1, 5)),
+                ],
+                "5a47788ca1150df27021885544d33ccc4edc0c4c628378e5f8734e1b4b3cbc35",
+            ),
+            (
+                [(0, 0.1, 2.5, 1.2, 4), (1, 0.25, 3.75, 0.5, 2), (2, 1.0, 2.3, 1.3, 7)],
+                "8c953db6e0d8c32e842ef727138a38c42f222cf1807302f0c5532fb1f30a189b",
+            ),
+            (
+                [(0, 0, 6, 2, 0.1), (1, 1, 4, 3, 2.5), (2, 2, 9, 1, 1e-3)],
+                "33fd6b3aac8685687685e66b3f136a1ef1880e6943d9536465efd038eb520dd7",
+            ),
+        ],
+        ids=["int", "fraction", "decimal-float", "float-value"],
+    )
+    def test_digests_are_pinned(self, rows, digest):
+        assert JobSet(Job(*row) for row in rows).canonical_key() == digest
+        assert JobSet(Job(*row) for row in reversed(rows)).canonical_key() == digest
+
     def test_request_key_separates_parameters(self):
         jobs = JobSet([Job(0, 0, 10, 3)])
         keys = {

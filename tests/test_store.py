@@ -11,6 +11,7 @@ re-solving.
 
 import json
 import os
+import threading
 
 import pytest
 
@@ -291,6 +292,43 @@ class TestServiceTier:
         assert stats.hits == len(reqs)  # LRU hits, no store reads needed
         assert stats.store_hits == 0
         assert all(r.metrics.get("served.hit") == 1.0 for r in results)
+
+    def test_store_hit_needs_no_worker(self, tmp_path):
+        """A store hit is read on the submitting thread: with the only
+        worker held inside a solve, a stored key still resolves at once and
+        counts as before; a duplicate of the held cold key still coalesces."""
+        root = str(tmp_path / "s")
+        stored, cold = _requests(2)
+        with ResultStore(root) as store:
+            store.put(stored.key(), solve_k_bounded(stored.jobs, stored.k))
+        entered, gate = threading.Event(), threading.Event()
+
+        def gated(jobs, k, *, machines=1, method="auto", **kw):
+            entered.set()
+            assert gate.wait(timeout=30), "gate never opened"
+            return solve_k_bounded(jobs, k, machines=machines, method=method, **kw)
+
+        with SolverService(
+            workers=1, store_path=root, prewarm=False, solve_fn=gated
+        ) as svc:
+            try:
+                leader = svc.submit(cold)
+                assert entered.wait(timeout=30)
+                before = svc.stats().as_dict()
+                hit = svc.submit(stored)
+                hit_done = hit.done()
+                after = svc.stats().as_dict()
+                follower = svc.submit(cold)
+                coalesced = svc.stats().coalesced
+            finally:
+                gate.set()
+            assert leader.result(timeout=30).value == follower.result(timeout=30).value
+        assert hit_done
+        assert hit.result(timeout=0).metrics["served.store_hit"] == 1.0
+        changed = {name: after[name] - before[name] for name in after if after[name] != before[name]}
+        assert changed == {"requests": 1, "misses": 1, "store_hits": 1, "cache_size": 1}
+        assert after["inflight"] == 1  # the held cold solve, nothing else
+        assert follower is leader and coalesced == 1
 
     def test_degraded_results_never_reach_the_store(self, tmp_path):
         root = str(tmp_path / "s")
