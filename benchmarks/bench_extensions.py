@@ -1,10 +1,10 @@
 """E11 — extensions: §1.4 classification axes and heuristic baselines.
 
 Times the generic classify-and-select combinator over the three axes
-(length/value/density), the budget-EDF heuristic, and the migrative
-global-EDF baseline, and regenerates the comparison table whose headline
-shape is: heuristics are competitive on benign mixes but collapse on the
-Appendix-B adversarial family where only the pipeline carries a bound.
+(length/value/density) and the budget-EDF heuristic, and regenerates the
+comparison table whose headline shape is: heuristics are competitive on
+benign mixes but collapse on the Appendix-B adversarial family where only
+the pipeline carries a bound.
 """
 
 import pytest
@@ -15,7 +15,6 @@ from repro.core.budget_edf import budget_edf
 from repro.core.classify import classify_and_select
 from repro.instances.lower_bounds import appendix_b_jobs
 from repro.instances.workloads import mixed_server_workload
-from repro.scheduling.global_edf import global_edf_accept_max_subset, verify_migratory
 
 
 @pytest.fixture(scope="module")
@@ -33,12 +32,6 @@ def test_bench_classify_axes(benchmark, workload, key):
 def test_bench_budget_edf(benchmark, workload):
     s = benchmark(budget_edf, workload, 2)
     assert s.max_preemptions <= 2
-
-
-def test_bench_global_edf_migrative(benchmark, workload):
-    s = benchmark(global_edf_accept_max_subset, workload, 2)
-    verify_migratory(s).assert_ok()
-    assert s.value > 0
 
 
 def test_bench_e12_table(benchmark):

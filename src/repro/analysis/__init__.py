@@ -1,5 +1,5 @@
 """Analysis layer: metrics, sweeps, table rendering and the experiment
-entry points (E1–E10 of DESIGN.md).
+entry points (E1–E17 of DESIGN.md).
 
 The benchmark files under ``benchmarks/`` and the CLI both call into
 :mod:`repro.analysis.experiments`; each experiment returns a

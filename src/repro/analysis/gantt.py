@@ -63,20 +63,3 @@ def render_gantt(
         lines.append(label + "".join(row) + suffix)
     return "\n".join(lines)
 
-
-def render_busy_profile(schedule: Schedule, *, width: int = 72) -> str:
-    """One-line machine-utilisation strip: ``█`` busy, space idle."""
-    jobs = schedule.jobs
-    if jobs.n == 0 or len(schedule) == 0:
-        return "(nothing scheduled)"
-    lo, hi = jobs.horizon
-    span = float(hi - lo)
-    cell = span / width
-    busy_segments = schedule.busy_segments()
-    row = []
-    for c in range(width):
-        a = lo + c * cell
-        b = a + cell
-        busy = any(float(s.start) < b and a < float(s.end) for s in busy_segments)
-        row.append("█" if busy else " ")
-    return "".join(row)

@@ -22,8 +22,13 @@ def loss_factor(total_value, achieved_value) -> float:
 
 
 def realized_price(opt_infty, alg_value) -> float:
-    """``OPT_∞ / ALG_k`` — an upper bound on the instance's true price
-    contribution (since ``ALG_k <= OPT_k``)."""
+    """``OPT_∞ / ALG_k`` for one instance.
+
+    An upper bound on the instance's true price ``OPT_∞ / OPT_k`` (since
+    ``ALG_k <= OPT_k``) only when ``opt_infty`` is the exact optimum.  With
+    a heuristic numerator, such as the iterated greedy of
+    :func:`repro.core.multimachine.multimachine_opt_infty`, it bounds the
+    price from neither side."""
     if alg_value <= 0:
         return float("inf")
     return float(opt_infty / alg_value)

@@ -157,12 +157,16 @@ def reduce_multimachine_schedule(
 
 
 def multimachine_opt_infty(jobs: JobSet, *, machines: int = 1) -> MultiMachineSchedule:
-    """A strong ∞-preemptive multi-machine benchmark value.
+    """An ∞-preemptive multi-machine benchmark value: iterated density-greedy.
 
-    Exact multi-machine OPT is NP-hard even to approximate cheaply; the
-    paper compares against the iterated single-machine optimum (the
-    ``(2+ε)``-approximation route of Section 1.2), which is what we build:
-    each machine takes the best EDF-feasible subset of the residual jobs.
+    Exact multi-machine OPT is NP-hard even to approximate cheaply.  This
+    is *not* the iterated single-machine optimum of Section 1.2's route:
+    each machine takes the whole residual set when it is EDF-feasible, and
+    otherwise the density-greedy admission of :func:`edf_accept_max_subset`,
+    which is not optimal.  The result is a feasible ∞-preemptive schedule,
+    so its value is only a lower bound on the multi-machine ``OPT_∞``; it
+    can even fall below the k-bounded pipeline's ``ALG_k`` on the same
+    machines, which puts the reported price below 1.
     """
 
     def single(js: JobSet) -> Schedule:

@@ -248,10 +248,6 @@ class Gateway:
         """The bound port (after :meth:`start`)."""
         return self._port
 
-    @property
-    def n_shards(self) -> int:
-        return self._n_shards
-
     async def start(self) -> None:
         """Start the shard fleet, the supervisor, then the HTTP server."""
         for index in range(self._n_shards):

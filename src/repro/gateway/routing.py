@@ -183,10 +183,6 @@ class QuotaManager:
         self._clock = clock
         self._buckets: Dict[str, TokenBucket] = {}
 
-    @property
-    def enabled(self) -> bool:
-        return self._rate is not None
-
     def check(self, tenant: str) -> Tuple[bool, float]:
         """Admit one request for ``tenant``; see :meth:`TokenBucket.try_acquire`."""
         if self._rate is None:

@@ -40,7 +40,6 @@ from repro.instances.workloads import (
 )
 from repro.instances.adversarial import (
     dhall_instance,
-    anti_greedy_k0,
     anti_budget_edf,
     anti_density_greedy,
 )
@@ -52,7 +51,6 @@ from repro.instances.periodic import (
     total_utilization,
     unroll,
 )
-from repro.instances.traces import bursty_trace, diurnal_trace, burstiness_index
 
 __all__ = [
     "geometric_chain",
@@ -75,7 +73,6 @@ __all__ = [
     "batch_analytics_workload",
     "mixed_server_workload",
     "dhall_instance",
-    "anti_greedy_k0",
     "anti_budget_edf",
     "anti_density_greedy",
     "PeriodicTask",
@@ -84,7 +81,4 @@ __all__ = [
     "hyperperiod",
     "total_utilization",
     "unroll",
-    "bursty_trace",
-    "diurnal_trace",
-    "burstiness_index",
 ]

@@ -9,9 +9,6 @@ algorithm intact:
   on m machines: m light short-deadline jobs hide one heavy long job;
   global EDF runs the light jobs first and dooms the heavy one even though
   a partitioned schedule exists.
-* :func:`anti_greedy_k0` — defeats the unclassified density-greedy at
-  k = 0 by the geometric-chain mechanism: a high-density small job sits in
-  the only slot that lets the long valuable job fit en bloc.
 * :func:`anti_budget_edf` — defeats budget-EDF: a stream of tight
   mid-value jobs drains the big job's preemption budget early, so the
   final (most valuable) arrivals find it unpreemptable; the reduction
@@ -46,27 +43,6 @@ def dhall_instance(machines: int, *, epsilon_num: int = 1, epsilon_den: int = 10
     for i in range(machines):
         jobs.append(Job(i, 0, 4 * eps, 2 * eps, value=1.0))
     jobs.append(Job(machines, 0, den + eps, den, value=float(machines)))
-    return JobSet(jobs)
-
-
-def anti_greedy_k0(levels: int) -> JobSet:
-    """Defeat density-greedy at k = 0 by a value-vs-density inversion.
-
-    A chain of nested jobs (à la Figure 2) where the *innermost* job has
-    the highest density but tiny value; greedy places it first, splitting
-    every larger window so no other job fits en bloc.  The classified
-    algorithm keeps a long job worth ``2^levels`` instead.
-    """
-    if levels < 2:
-        raise ValueError("need at least 2 levels")
-    centre = 2**levels
-    jobs: List[Job] = []
-    for i in range(1, levels + 1):
-        radius = 2**i - 1
-        length = 2**i
-        # Value grows slower than length: density highest at the centre.
-        value = float(2 ** (i - 1)) if i > 1 else 4.0
-        jobs.append(Job(i - 1, centre - radius, centre + radius, length, value))
     return JobSet(jobs)
 
 

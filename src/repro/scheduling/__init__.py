@@ -26,25 +26,11 @@ from repro.scheduling.lawler import (
     lawler_moore_weighted,
     greedy_nonpreemptive,
 )
-from repro.scheduling.global_edf import (
-    MigratorySchedule,
-    global_edf_schedule,
-    global_edf_accept_max_subset,
-    verify_migratory,
-)
 from repro.scheduling.unit_jobs import unit_jobs_optimal, unit_jobs_optimal_value
 from repro.scheduling.lawler_dp import (
     lawler_optimal_value,
     lawler_optimal_schedule,
     demand_bound_feasible,
-)
-from repro.scheduling.io import (
-    dump_jobset,
-    load_jobset,
-    dump_schedule,
-    load_schedule,
-    dump_forest,
-    load_forest,
 )
 from repro.scheduling.verify import (
     FeasibilityReport,
@@ -74,21 +60,11 @@ __all__ = [
     "moore_hodgson",
     "lawler_moore_weighted",
     "greedy_nonpreemptive",
-    "MigratorySchedule",
-    "global_edf_schedule",
-    "global_edf_accept_max_subset",
-    "verify_migratory",
     "unit_jobs_optimal",
     "unit_jobs_optimal_value",
     "lawler_optimal_value",
     "lawler_optimal_schedule",
     "demand_bound_feasible",
-    "dump_jobset",
-    "load_jobset",
-    "dump_schedule",
-    "load_schedule",
-    "dump_forest",
-    "load_forest",
     "FeasibilityReport",
     "verify_schedule",
     "verify_multimachine",

@@ -9,7 +9,6 @@ zero-slack lower-bound instances round-trip losslessly.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Any, Dict, List, Union
 
@@ -76,16 +75,6 @@ def jobset_from_dict(data: Dict[str, Any]) -> JobSet:
     )
 
 
-def dump_jobset(jobs: JobSet, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(jobset_to_dict(jobs), fh, indent=2)
-
-
-def load_jobset(path) -> JobSet:
-    with open(path) as fh:
-        return jobset_from_dict(json.load(fh))
-
-
 # ---------------------------------------------------------------------------
 # Schedule
 # ---------------------------------------------------------------------------
@@ -115,16 +104,6 @@ def schedule_from_dict(data: Dict[str, Any]) -> Schedule:
     return Schedule(jobs, assignment)
 
 
-def dump_schedule(schedule: Schedule, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(schedule_to_dict(schedule), fh, indent=2)
-
-
-def load_schedule(path) -> Schedule:
-    with open(path) as fh:
-        return schedule_from_dict(json.load(fh))
-
-
 # ---------------------------------------------------------------------------
 # Forest
 # ---------------------------------------------------------------------------
@@ -142,13 +121,3 @@ def forest_from_dict(data: Dict[str, Any]) -> Forest:
     if data.get("format") != "repro.forest/1":
         raise ValueError(f"not a repro.forest/1 document: {data.get('format')!r}")
     return Forest(data["parents"], [_decode_number(v) for v in data["values"]])
-
-
-def dump_forest(forest: Forest, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(forest_to_dict(forest), fh, indent=2)
-
-
-def load_forest(path) -> Forest:
-    with open(path) as fh:
-        return forest_from_dict(json.load(fh))

@@ -131,11 +131,3 @@ def online_value_abort(jobs: JobSet) -> Schedule:
 
     return _simulate(jobs, admit, victim)
 
-
-def empirical_competitive_ratio(jobs: JobSet, policy, opt_value) -> float:
-    """``OPT / policy(jobs)`` — the realised (not worst-case) competitive
-    ratio of an online policy on one instance."""
-    sched = policy(jobs)
-    if sched.value <= 0:
-        return float("inf")
-    return float(opt_value) / float(sched.value)

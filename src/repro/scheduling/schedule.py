@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.scheduling.job import Job, JobSet
+from repro.scheduling.job import JobSet
 from repro.scheduling.segment import (
     Segment,
     complement_within,
@@ -56,10 +56,6 @@ class Schedule:
     @property
     def scheduled_ids(self) -> List[int]:
         return sorted(self._segments)
-
-    @property
-    def scheduled_jobs(self) -> List[Job]:
-        return [self._jobs[i] for i in self.scheduled_ids]
 
     def __contains__(self, job_id: int) -> bool:
         return job_id in self._segments
@@ -130,10 +126,6 @@ class Schedule:
         """
         keep = set(ids)
         return Schedule(self._jobs, {i: s for i, s in self._segments.items() if i in keep})
-
-    def with_jobset(self, jobs: JobSet) -> "Schedule":
-        """Rebind the schedule to another JobSet containing the same ids."""
-        return Schedule(jobs, dict(self._segments))
 
     def scheduled_subset(self) -> JobSet:
         """The accepted jobs as a JobSet."""

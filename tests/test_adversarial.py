@@ -5,25 +5,12 @@ import pytest
 
 from repro.core.budget_edf import budget_edf
 from repro.core.combined import schedule_k_bounded
-from repro.core.nonpreemptive import nonpreemptive_combined
-from repro.instances.adversarial import (
-    anti_budget_edf,
-    anti_greedy_k0,
-    dhall_instance,
-)
+from repro.instances.adversarial import anti_budget_edf, dhall_instance
 from repro.scheduling.edf import edf_feasible, edf_schedule
-from repro.scheduling.global_edf import global_edf_schedule
-from repro.scheduling.lawler import greedy_nonpreemptive
 from repro.scheduling.verify import verify_schedule
 
 
 class TestDhall:
-    @pytest.mark.parametrize("m", [2, 3, 5])
-    def test_global_edf_fails(self, m):
-        jobs = dhall_instance(m)
-        _, ok = global_edf_schedule(jobs, m)
-        assert not ok
-
     @pytest.mark.parametrize("m", [2, 3])
     def test_partitioned_succeeds(self, m):
         jobs = dhall_instance(m)
@@ -39,29 +26,6 @@ class TestDhall:
     def test_validation(self):
         with pytest.raises(ValueError):
             dhall_instance(1)
-
-
-class TestAntiGreedy:
-    def test_greedy_defeated_by_factor(self):
-        jobs = anti_greedy_k0(6)
-        greedy = greedy_nonpreemptive(jobs)
-        verify_schedule(greedy, k=0).assert_ok()
-        principled = nonpreemptive_combined(jobs)
-        verify_schedule(principled, k=0).assert_ok()
-        assert principled.value >= 8 * greedy.value
-
-    def test_gap_grows_with_levels(self):
-        gaps = []
-        for levels in (3, 5, 7):
-            jobs = anti_greedy_k0(levels)
-            g = greedy_nonpreemptive(jobs).value
-            p = nonpreemptive_combined(jobs).value
-            gaps.append(p / g)
-        assert gaps == sorted(gaps)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            anti_greedy_k0(1)
 
 
 class TestAntiBudgetEdf:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.gantt import render_busy_profile, render_gantt
+from repro.analysis.gantt import render_gantt
 from repro.scheduling.edf import edf_schedule
 from repro.scheduling.job import make_jobs
 from repro.scheduling.schedule import Schedule
@@ -58,14 +58,3 @@ class TestRenderGantt:
         sched = edf_schedule(jobs).schedule
         out = render_gantt(sched, width=12)
         assert "█" in out
-
-
-class TestBusyProfile:
-    def test_profile_reflects_busy(self, sched):
-        strip = render_busy_profile(sched, width=10)
-        assert strip[:6].count("█") == 6
-        assert strip[7:].strip("█ ") == ""
-
-    def test_empty(self):
-        jobs = make_jobs([(0, 6, 2)])
-        assert "nothing" in render_busy_profile(Schedule(jobs, {}))

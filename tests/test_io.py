@@ -5,19 +5,13 @@ from fractions import Fraction
 import pytest
 
 from repro.core.bas.forest import Forest
-from repro.instances.lower_bounds import appendix_b_jobs, geometric_chain
+from repro.instances.lower_bounds import appendix_b_jobs
 from repro.scheduling.edf import edf_schedule
 from repro.scheduling.io import (
-    dump_forest,
-    dump_jobset,
-    dump_schedule,
     forest_from_dict,
     forest_to_dict,
     jobset_from_dict,
     jobset_to_dict,
-    load_forest,
-    load_jobset,
-    load_schedule,
     schedule_from_dict,
     schedule_to_dict,
 )
@@ -44,14 +38,6 @@ class TestJobSetRoundtrip:
         with pytest.raises(ValueError, match="jobset"):
             jobset_from_dict({"format": "nope", "jobs": []})
 
-    def test_file_roundtrip(self, tmp_path):
-        jobs = geometric_chain(4)
-        p = tmp_path / "jobs.json"
-        dump_jobset(jobs, p)
-        back = load_jobset(p)
-        assert back.ids == jobs.ids
-        assert back.total_value == jobs.total_value
-
 
 class TestScheduleRoundtrip:
     def test_roundtrip_preserves_segments(self):
@@ -69,13 +55,6 @@ class TestScheduleRoundtrip:
         for i in sched.scheduled_ids:
             assert back[i] == sched[i]
 
-    def test_file_roundtrip(self, tmp_path):
-        jobs = make_jobs([(0, 8, 3, 2.0)])
-        sched = edf_schedule(jobs).schedule
-        p = tmp_path / "sched.json"
-        dump_schedule(sched, p)
-        assert load_schedule(p).value == sched.value
-
     def test_format_guard(self):
         with pytest.raises(ValueError, match="schedule"):
             schedule_from_dict({"format": "x"})
@@ -88,12 +67,6 @@ class TestForestRoundtrip:
         assert back.n == f.n
         assert [back.parent(v) for v in range(4)] == [f.parent(v) for v in range(4)]
         assert back.value(0) == Fraction(1, 3)
-
-    def test_file_roundtrip(self, tmp_path):
-        f = Forest.complete(2, 3)
-        p = tmp_path / "forest.json"
-        dump_forest(f, p)
-        assert load_forest(p).total_value == f.total_value
 
     def test_format_guard(self):
         with pytest.raises(ValueError, match="forest"):

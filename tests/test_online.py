@@ -8,7 +8,6 @@ from repro.scheduling.edf import edf_feasible
 from repro.scheduling.exact import opt_infty_value
 from repro.scheduling.job import Job, JobSet, make_jobs
 from repro.scheduling.online import (
-    empirical_competitive_ratio,
     online_edf_admission,
     online_value_abort,
 )
@@ -67,24 +66,6 @@ class TestAbortPolicy:
 
     def test_empty(self):
         assert online_value_abort(make_jobs([])).value == 0
-
-
-class TestCompetitiveRatio:
-    def test_ratio_one_on_feasible(self, simple_jobs):
-        r = empirical_competitive_ratio(
-            simple_jobs, online_edf_admission, simple_jobs.total_value
-        )
-        assert r == pytest.approx(1.0)
-
-    def test_ratio_inf_on_zero_value(self):
-        jobs = make_jobs([(0, 4, 4, 1.0)])
-
-        def nothing(js):
-            from repro.scheduling.schedule import Schedule
-
-            return Schedule(js, {})
-
-        assert empirical_competitive_ratio(jobs, nothing, 1.0) == float("inf")
 
 
 @st.composite

@@ -1,5 +1,5 @@
 """Property-based tests for the extension modules: budget-EDF,
-classify-and-select, global EDF and serialisation round-trips."""
+classify-and-select and serialisation round-trips."""
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.core.budget_edf import budget_edf, budget_edf_simulate
 from repro.core.classify import classify_and_select, classify_jobs
 from repro.scheduling.edf import edf_feasible, edf_schedule
-from repro.scheduling.global_edf import global_edf_schedule, verify_migratory
 from repro.scheduling.io import (
     jobset_from_dict,
     jobset_to_dict,
@@ -76,33 +75,6 @@ def test_classify_partition_properties(jobs, key):
 def test_classify_and_select_feasible(jobs, key, k):
     s = classify_and_select(jobs, k, key=key)
     verify_schedule(s, k=k).assert_ok()
-
-
-# -- global EDF -------------------------------------------------------------------
-
-
-@given(jobsets(), st.integers(min_value=1, max_value=3))
-def test_global_edf_schedule_verifies(jobs, m):
-    s, ok = global_edf_schedule(jobs, m)
-    verify_migratory(s).assert_ok()
-    if ok:
-        assert s.value == jobs.total_value
-
-
-@given(jobsets())
-def test_global_edf_single_machine_matches_edf(jobs):
-    _, ok = global_edf_schedule(jobs, 1)
-    assert ok == edf_feasible(jobs)
-
-
-@given(jobsets())
-def test_global_edf_feasibility_monotone_in_machines(jobs):
-    oks = [global_edf_schedule(jobs, m)[1] for m in (1, 2, 3)]
-    # Global EDF on identical machines: anything 1 machine schedules, more
-    # machines schedule too (the extra machines can simply idle) — our
-    # simulator preserves this because selection is deadline-ordered.
-    for a, b in zip(oks, oks[1:]):
-        assert (not a) or b
 
 
 # -- serialisation ----------------------------------------------------------------
