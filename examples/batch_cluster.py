@@ -29,7 +29,7 @@ from repro.scheduling.edf import edf_accept_max_subset, edf_feasible, edf_schedu
 def main() -> None:
     jobs = batch_analytics_workload(80, horizon=2000.0, seed=2018)
     P = jobs.length_ratio
-    print(f"workload: n={jobs.n}, P={P:.1f}, total value={jobs.total_value:.1f}")
+    print(f"workload: n={jobs.n}, P={float(P):.1f}, total value={float(jobs.total_value):.1f}")
 
     if edf_feasible(jobs):
         opt = edf_schedule(jobs).schedule
@@ -37,7 +37,7 @@ def main() -> None:
     else:
         opt = edf_accept_max_subset(jobs)
         print("OPT_∞ estimate: greedy EDF admission (set is overloaded)")
-    print(f"OPT_∞ value: {opt.value:.1f}\n")
+    print(f"OPT_∞ value: {float(opt.value):.1f}\n")
 
     table = Table(
         title="Throughput kept vs preemption budget",

@@ -22,12 +22,12 @@ from repro.scheduling.edf import edf_accept_max_subset
 
 def main() -> None:
     jobs = mixed_server_workload(60, seed=4)
-    print(f"workload: n={jobs.n}, P={jobs.length_ratio:.1f}, "
-          f"total value={jobs.total_value:.1f}")
+    print(f"workload: n={jobs.n}, P={float(jobs.length_ratio):.1f}, "
+          f"total value={float(jobs.total_value):.1f}")
 
     # --- single machine: which branch of Algorithm 3 wins? -----------------
     opt = edf_accept_max_subset(jobs)
-    print(f"single-machine OPT_∞ estimate: {opt.value:.1f}\n")
+    print(f"single-machine OPT_∞ estimate: {float(opt.value):.1f}\n")
 
     branches = Table(
         title="Algorithm 3 branch anatomy (single machine)",

@@ -30,8 +30,8 @@ from repro.scheduling.online import online_edf_admission, online_value_abort
 def main() -> None:
     jobs = mixed_server_workload(50, seed=29)
     opt = edf_accept_max_subset(jobs)
-    print(f"workload: n={jobs.n}, P={jobs.length_ratio:.1f}; "
-          f"offline OPT_∞ estimate = {opt.value:.1f}\n")
+    print(f"workload: n={jobs.n}, P={float(jobs.length_ratio):.1f}; "
+          f"offline OPT_∞ estimate = {float(opt.value):.1f}\n")
 
     table = Table(
         title="Value vs preemption budget",

@@ -23,11 +23,11 @@ from repro.scheduling.laminar import is_laminar
 
 def main() -> None:
     jobs = realtime_control_workload(18, period=8.0, seed=7)
-    print(f"workload: n={jobs.n}, λ_max={jobs.lambda_max:.2f} (all strict for k=1)")
+    print(f"workload: n={jobs.n}, λ_max={float(jobs.lambda_max):.2f} (all strict for k=1)")
 
     # Step 1: a strong ∞-preemptive schedule (greedy EDF admission).
     opt = edf_accept_max_subset(jobs)
-    print(f"∞-preemptive schedule: {len(opt)} jobs, value {opt.value:.1f}, "
+    print(f"∞-preemptive schedule: {len(opt)} jobs, value {float(opt.value):.1f}, "
           f"max preemptions {opt.max_preemptions}")
     assert is_laminar(opt), "EDF schedules are laminar — no Fig. 1 pass needed"
 
@@ -44,16 +44,16 @@ def main() -> None:
         bas = tm_optimal_bas(forest, k)
         kept_jobs = sorted(node_to_job[v] for v in bas.retained)
         print(f"\nk={k}: optimal k-BAS keeps {len(bas)}/{forest.n} jobs "
-              f"(value {bas.value:.1f} of {forest.total_value:.1f})")
+              f"(value {float(bas.value):.1f} of {float(forest.total_value):.1f})")
         for r in forest.roots[:3]:
             print(f"  root node {r} (job {node_to_job[r]}): "
-                  f"t={t[r]:.1f}, m={m[r]:.1f} → "
+                  f"t={float(t[r]):.1f}, m={float(m[r]):.1f} → "
                   f"{'retain' if t[r] >= m[r] else 'prune up'}")
 
         # Step 4: compaction back to a schedule.
         sched = forest_to_schedule(opt, node_to_job, bas)
         verify_schedule(sched, k=k).assert_ok()
-        print(f"  final schedule: value {sched.value:.1f}, "
+        print(f"  final schedule: value {float(sched.value):.1f}, "
               f"max preemptions {sched.max_preemptions} (budget {k})")
         assert abs(sched.value - bas.value) < 1e-9 * max(1.0, bas.value)
 

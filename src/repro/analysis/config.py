@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.analysis.sweep import Sweep, SweepResult, run_sweep
 from repro.analysis.tables import Table
@@ -67,31 +67,6 @@ def _bas_loss_random(rng, n: int = 200, k: int = 2, shape: str = "attachment") -
 
     forest = random_forest(int(n), shape=shape, seed=rng)
     return {"loss": float(forest.total_value) / float(tm_optimal_value(forest, int(k)))}
-
-
-@register_cell("bas_loss_random_batched")
-def _bas_loss_random_batched(
-    rngs, n: int = 200, k: int = 2, shape: str = "attachment"
-) -> Sequence[Mapping[str, float]]:
-    """TM loss factor on random forests — all repeats in one batched kernel pass.
-
-    Same measurement as ``bas_loss_random``, but the cell opts into the
-    ``batch_repeats`` protocol: it receives every repeat's RNG at once,
-    draws one forest per repeat, and solves them all with a single
-    :func:`repro.core.bas.tm.tm_optimal_values_batched` call so the stacked
-    CSR kernel amortises the per-level numpy passes across repeats.
-    """
-    from repro.core.bas.tm import tm_optimal_values_batched
-    from repro.instances.random_trees import random_forest
-
-    forests = [random_forest(int(n), shape=shape, seed=rng) for rng in rngs]
-    values = tm_optimal_values_batched(forests, int(k))
-    return [
-        {"loss": float(f.total_value) / float(v)} for f, v in zip(forests, values)
-    ]
-
-
-_bas_loss_random_batched.batch_repeats = True  # type: ignore[attr-defined]
 
 
 @register_cell("k0_price_random")

@@ -18,35 +18,25 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.metrics import geometric_decay_rate, loss_factor, realized_price
 from repro.analysis.sweep import map_in_workers
 from repro.analysis.tables import Table
 from repro.core.bas.bounds import (
     appendix_a_alg_value,
-    appendix_a_size,
     appendix_a_total_value,
     bas_loss_bound,
 )
 from repro.core.bas.contraction import levelled_contraction
 from repro.core.bas.tm import tm_optimal_bas, tm_optimal_value
 from repro.core.bas.verify import verify_bas
-from repro.core.combined import k_preemption_combined, schedule_k_bounded
+from repro.core.combined import schedule_k_bounded
 from repro.core.lsa import lsa, lsa_cs
-from repro.core.multimachine import (
-    iterated_assignment,
-    multimachine_k_bounded,
-    multimachine_nonpreemptive,
-    multimachine_opt_infty,
-)
-from repro.core.nonpreemptive import nonpreemptive_combined, nonpreemptive_lsa_cs
+from repro.core.multimachine import multimachine_k_bounded, multimachine_opt_infty
+from repro.core.nonpreemptive import nonpreemptive_combined
 from repro.core.pricing import price_bound_k0, price_bound_n, price_bound_P
-from repro.core.reduction import (
-    forest_to_schedule,
-    reduce_schedule_to_k_preemptive,
-    schedule_to_forest,
-)
+from repro.core.reduction import reduce_schedule_to_k_preemptive, schedule_to_forest
 from repro.instances.lower_bounds import (
     appendix_a_forest,
     appendix_b_jobs,
@@ -59,7 +49,7 @@ from repro.instances.random_trees import random_forest
 from repro.instances.workloads import mixed_server_workload
 from repro.scheduling.edf import edf_accept_max_subset, edf_feasible, edf_schedule
 from repro.scheduling.exact import opt_infty_exact
-from repro.scheduling.laminar import is_laminar, laminarize
+from repro.scheduling.laminar import is_laminar
 from repro.scheduling.lawler import greedy_nonpreemptive
 from repro.scheduling.verify import verify_multimachine, verify_schedule
 from repro.utils.numeric import log_base

@@ -8,7 +8,7 @@ plotting stack, and text diffs nicely in tests and bug reports).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.scheduling.schedule import Schedule
 

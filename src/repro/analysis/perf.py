@@ -5,16 +5,12 @@ trajectory so future performance work has a baseline to beat:
 
 * the TM dynamic program — reference loop vs the vectorized CSR kernel
   (:func:`repro.core.bas.tm.tm_values_vectorized`);
-* the cross-instance batched TM kernel — one stacked
-  :func:`repro.core.bas.tm.tm_values_batched` pass vs per-forest
-  vectorized calls over a 64-forest batch;
 * the sweep engine — serial vs parallel execution of one grid
   (:func:`repro.analysis.sweep.run_sweep` over the persistent process
   executor), with an untimed warmup per worker count;
-* the exact ``OPT_∞`` branch-and-bound — cold vs warm
-  :func:`repro.scheduling.edf.edf_feasible_cached` cache, plus the bitset
-  core (:func:`repro.scheduling.bitset_bb.bitset_solve`) cold vs memoized
-  at n ∈ {16, 20, 24, 28};
+* the exact ``OPT_∞`` bitset branch-and-bound
+  (:func:`repro.scheduling.bitset_bb.bitset_solve`) cold vs memoized at
+  n ∈ {16, 20, 24, 28};
 * forest traversals — first (computing) vs cached ``postorder()``;
 * the observability layer — TM with the tracer disabled vs the raw kernel
   (the < 5% overhead contract) and under a live tracer for reference.
@@ -156,82 +152,6 @@ def bench_sweep_engine(
             speedup = serial_median / _median(times)
         records.append(_record(f"run_sweep[workers={workers}]", cell_runs, None, times, speedup))
     return records
-
-
-def bench_tm_batched(
-    count: int = 64,
-    n: int = 2_000,
-    k_values: Sequence[int] = (2,),
-    reps: int = 7,
-    seed: int = 2018,
-) -> List[BenchRecord]:
-    """Cross-instance batched TM kernel vs per-forest vectorized calls.
-
-    ``count`` forests of ``n`` nodes each (mixed shapes, so stacked levels
-    interleave realistically) are solved two ways: one
-    :func:`~repro.core.bas.tm.tm_values_batched` pass over the whole batch,
-    and ``count`` individual :func:`~repro.core.bas.tm.tm_values_vectorized`
-    calls.  The recorded ``n`` is the batch's total node count; the batched
-    record's ``speedup_vs_reference`` is the number the acceptance gate in
-    ``benchmarks/bench_perf.py`` asserts stays ≥ 2.  Min-of-reps on both
-    sides of the ratio, interleaved, since scheduler noise only ever
-    inflates a measurement.
-    """
-    from repro.core.bas.tm import tm_values_batched, tm_values_vectorized
-    from repro.instances.random_trees import random_forest
-
-    shapes = ("attachment", "preferential", "mixed")
-    forests = [
-        random_forest(n, shape=shapes[i % len(shapes)], seed=seed + i)
-        for i in range(count)
-    ]
-    total = sum(f.n for f in forests)
-    for f in forests:  # warm CSR caches so both engines time the DP alone
-        f.children_index
-        f.values_array
-    records: List[BenchRecord] = []
-    for k in k_values:
-        per_times: List[float] = []
-        batch_times: List[float] = []
-        for _ in range(reps):
-            per_times.extend(
-                _times_ms(lambda: [tm_values_vectorized(f, k) for f in forests], 1)
-            )
-            batch_times.extend(_times_ms(lambda: tm_values_batched(forests, k), 1))
-        records.append(_record("tm_values[per-instance]", total, k, per_times))
-        records.append(
-            _record("tm_values_batched", total, k, batch_times,
-                    speedup=min(per_times) / min(batch_times))
-        )
-    return records
-
-
-def bench_edf_cache(n: int = 16, reps: int = 3, seed: int = 3) -> List[BenchRecord]:
-    """Exact OPT_∞ branch-and-bound with a cold vs warm feasibility cache."""
-    from repro.instances.random_jobs import random_jobs
-    from repro.scheduling.edf import edf_feasible_cached
-    from repro.scheduling.exact import opt_infty_exact
-
-    # A deliberately overloaded instance so the branch-and-bound actually
-    # branches (a feasible set short-circuits to plain EDF).
-    jobs = random_jobs(
-        n, horizon=1.5 * n ** 0.5, length_range=(1.0, 5.0),
-        laxity_range=(1.0, 3.0), seed=seed,
-    )
-
-    def cold() -> None:
-        edf_feasible_cached.cache_clear()
-        opt_infty_exact(jobs)
-
-    cold_times = _times_ms(cold, reps)
-    edf_feasible_cached.cache_clear()
-    opt_infty_exact(jobs)  # populate the cache once
-    warm_times = _times_ms(lambda: opt_infty_exact(jobs), reps)
-    return [
-        _record("opt_infty_exact[cold cache]", n, None, cold_times),
-        _record("opt_infty_exact[warm cache]", n, None, warm_times,
-                speedup=_median(cold_times) / _median(warm_times)),
-    ]
 
 
 def bench_opt_exact(
@@ -531,9 +451,7 @@ def run_bench(*, quick: bool = False, out: Optional[str] = "BENCH_perf.json") ->
     if quick:
         records = (
             bench_tm_kernels(sizes=(2_000,), k_values=(2,), reps=2)
-            + bench_tm_batched(reps=3)
             + bench_sweep_engine(workers_values=(1, 4), n=120, repeats=2, reps=2)
-            + bench_edf_cache(n=12, reps=2)
             + bench_opt_exact(sizes=(16, 20), reps=2)
             + bench_forest_traversals(n=20_000, reps=2)
             + bench_tracer_overhead(n=20_000, reps=5)
@@ -543,9 +461,7 @@ def run_bench(*, quick: bool = False, out: Optional[str] = "BENCH_perf.json") ->
     else:
         records = (
             bench_tm_kernels()
-            + bench_tm_batched()
             + bench_sweep_engine()
-            + bench_edf_cache()
             + bench_opt_exact()
             + bench_forest_traversals()
             + bench_tracer_overhead()

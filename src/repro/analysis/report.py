@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.analysis.experiments import EXPERIMENTS
 from repro.analysis.tables import Table

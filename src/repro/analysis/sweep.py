@@ -124,12 +124,7 @@ def _execute_cell(
 ) -> Tuple[List[Mapping[str, float]], Optional[Dict[str, Any]]]:
     """Execute one cell's repeats; the single cell protocol, serial or not.
 
-    Plain cells are called once per repeat as ``cell_fn(rng=..., **params)``.
-    Cells marked ``batch_repeats = True`` (an attribute on the function) are
-    instead called *once* as ``cell_fn(rngs=[...], **params)`` and must
-    return one metrics mapping per repeat — that is how a cell hands all
-    its repeats to :func:`repro.core.bas.tm.tm_optimal_values_batched` in
-    one kernel pass.
+    The cell is called once per repeat as ``cell_fn(rng=..., **params)``.
 
     When tracing, the cell runs under a fresh local tracer whose export
     rides back to the parent — that is how spans serialize across worker
@@ -137,14 +132,6 @@ def _execute_cell(
     """
 
     def _call() -> List[Mapping[str, float]]:
-        if getattr(cell_fn, "batch_repeats", False):
-            runs = list(cell_fn(rngs=list(rngs), **params))
-            if len(runs) != len(rngs):
-                raise ValueError(
-                    f"batch_repeats cell {getattr(cell_fn, '__name__', cell_fn)!r} "
-                    f"returned {len(runs)} runs for {len(rngs)} repeats"
-                )
-            return runs
         return [cell_fn(rng=rng, **params) for rng in rngs]
 
     if not trace:
@@ -205,10 +192,9 @@ def run_sweep(
     """Execute every cell ``repeats`` times and average the metrics.
 
     ``cell_fn(rng=..., **params)`` must return a mapping of metric name to
-    float (cells marked ``batch_repeats = True`` follow the batched
-    protocol — see :func:`_execute_cell`).  Metrics are averaged across
-    repeats; a ``*_max`` variant of every metric records the worst repeat,
-    since price statements are worst-case claims.
+    float.  Metrics are averaged across repeats; a ``*_max`` variant of
+    every metric records the worst repeat, since price statements are
+    worst-case claims.
 
     With ``workers > 1`` the cells run on the persistent ``workers``-process
     executor (:func:`map_in_workers`), about four cells per task message

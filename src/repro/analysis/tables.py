@@ -9,7 +9,7 @@ output is a table of the series the paper's figures/theorems describe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, List, Sequence
 
 
 def _fmt(x: Any, precision: int = 4) -> str:

@@ -55,7 +55,6 @@ from repro.core.nonpreemptive import nonpreemptive_combined
 from repro.core.pricing import PriceMeasurement, measured_price
 from repro.core.reduction import reduce_schedule_to_k_preemptive
 from repro.obs.tracer import Tracer, current_tracer
-from repro.scheduling.edf import edf_accept_max_subset, edf_feasible, edf_schedule
 from repro.scheduling.exact import opt_infty_auto
 from repro.scheduling.io import (
     jobset_from_dict,

@@ -37,7 +37,7 @@ from repro.check.cases import (
     generate_case,
     has_fractional_coordinates,
 )
-from repro.check.oracles import ORACLES, Oracle, get_oracle, oracles_for_domain
+from repro.check.oracles import ORACLES, Oracle, get_oracle
 from repro.check.shrink import shrink_case
 from repro.obs import current_tracer
 from repro.utils.rng import spawn_rngs

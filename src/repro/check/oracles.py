@@ -1017,38 +1017,6 @@ def _contraction_within_loss_bound(case: Case) -> Optional[str]:
     return None
 
 
-@register_oracle(
-    "tm-batched-vs-vectorized",
-    "forest",
-    "the stacked cross-instance TM kernel equals per-forest engines exactly",
-)
-def _tm_batched_vs_vectorized(case: Case) -> Optional[str]:
-    from repro.core.bas.forest import Forest
-    from repro.core.bas.tm import tm_values, tm_values_batched
-
-    forest, k = case.payload, case.params["k"]
-    # A deterministic heterogeneous batch derived from the case forest:
-    # the forest itself, a value-reversed twin (same shape, different
-    # aggregates), and fixed path/star shapes whose depths interleave the
-    # stacked levels differently than the random draw.
-    parents = [forest.parent(v) for v in range(forest.n)]
-    batch = [
-        forest,
-        Forest(parents, list(reversed(forest.values))),
-        Forest([-1, 0, 1, 2], [3, 1, 4, 1]),
-        Forest([-1, 0, 0, 0, 0], [2, 7, 1, 8, 2]),
-    ]
-    batched = tm_values_batched(batch, k)  # forced stacked kernel, no dispatch
-    for i, (f, (t_b, m_b)) in enumerate(zip(batch, batched)):
-        t_r, m_r = tm_values(f, k)  # exact reference loop (integral payloads)
-        if t_b != t_r or m_b != m_r:
-            return (
-                f"stacked kernel diverges from reference on batch member {i} "
-                f"(n={f.n}, k={k})"
-            )
-    return None
-
-
 # ---------------------------------------------------------------------------
 # sweep-domain oracles
 # ---------------------------------------------------------------------------

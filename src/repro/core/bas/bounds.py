@@ -11,7 +11,7 @@ These are the formulas the experiments compare measured quantities against:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Tuple
 
 def lc_layer_bound(n: int, k: int) -> int:
     """Lemma 3.18's layer count: ``⌊log_{k+1} n⌋ + 1``, computed exactly.

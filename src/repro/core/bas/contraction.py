@@ -21,7 +21,7 @@ these per-layer quantities against the lemmas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.bas.forest import Forest
 from repro.core.bas.subforest import SubForest

@@ -22,7 +22,6 @@ the contraction all re-walk the same forest).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -61,7 +60,6 @@ class Forest:
         self._levels_cache: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._csr_cache: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
         self._values_array_cache: Optional[np.ndarray] = None
-        self._stack_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._check_acyclic()
 
     def _check_acyclic(self) -> None:
@@ -236,20 +234,6 @@ class Forest:
             self._values_array_cache = arr
         return self._values_array_cache
 
-    def _stack_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Cached ``(depth_topo, degrees)`` in topo order, for :func:`stack_csr`.
-
-        ``depth_topo[i]`` is the depth of ``topo_array[i]``; ``degrees[i]``
-        its child count.  Cached because repeated stacked passes over the
-        same forests (benchmark reps) re-stack them."""
-        if self._stack_cache is None:
-            _, start, level_ptr, _ = self._csr()
-            depth_topo = np.repeat(
-                np.arange(len(level_ptr) - 1, dtype=np.intp), np.diff(level_ptr)
-            )
-            self._stack_cache = (depth_topo, np.diff(start))
-        return self._stack_cache
-
     def subtree_nodes(self, v: int) -> List[int]:
         """All nodes of ``T(v)``, the sub-tree rooted at ``v``."""
         out: List[int] = []
@@ -338,101 +322,3 @@ class Forest:
 
     def __repr__(self) -> str:
         return f"Forest(n={self.n}, roots={len(self._roots)}, value={self.total_value})"
-
-
-@dataclass(frozen=True)
-class StackedCSR:
-    """Many forests concatenated into one CSR layout (for the batched TM).
-
-    Global node ids are per-forest ids shifted by ``offsets``: node ``v`` of
-    forest ``i`` becomes ``offsets[i] + v``, so ``values`` (and any DP array
-    indexed by global id) splits back into per-forest slices
-    ``[offsets[i]:offsets[i+1]]``.
-
-    ``topo`` orders the global ids by ``(depth, forest, BFS position)``.
-    That interleaving preserves the single-forest BFS invariant the level
-    kernel relies on: the concatenated children of global level ``d`` —
-    walked parent by parent in ``topo`` order — are exactly global level
-    ``d + 1``, because within one forest the children of its depth-``d``
-    slice are its depth-``d+1`` slice in BFS order, and both sides iterate
-    forests in the same fixed order.  Hence ``topo[n_roots:]`` is the CSR
-    children index, exactly as in the single-forest layout.
-    """
-
-    topo: np.ndarray
-    start: np.ndarray
-    level_ptr: np.ndarray
-    values: np.ndarray
-    offsets: np.ndarray
-    n_roots: int
-
-    @property
-    def n(self) -> int:
-        return int(self.offsets[-1])
-
-
-def stack_csr(forests: Sequence[Forest]) -> StackedCSR:
-    """Stack forests into one :class:`StackedCSR` layout.
-
-    One ``np.lexsort`` over ``(forest, depth)`` does the level interleaving;
-    everything else is concatenation, so stacking is cheap relative to the
-    DP it feeds.  Value dtypes follow numpy promotion (all-int forests stay
-    int64; any float forest promotes the stacked array to float64).
-    """
-    forests = list(forests)
-    sizes = [f.n for f in forests]
-    total = sum(sizes)
-    offsets = np.zeros(len(forests) + 1, dtype=np.intp)
-    if forests:
-        np.cumsum(sizes, out=offsets[1:])
-    n_roots = sum(len(f.roots) for f in forests)
-    if total == 0:
-        empty = np.zeros(0, dtype=np.intp)
-        return StackedCSR(
-            topo=empty,
-            start=np.zeros(1, dtype=np.intp),
-            level_ptr=np.zeros(1, dtype=np.intp),
-            values=np.zeros(0),
-            offsets=offsets,
-            n_roots=0,
-        )
-    # Destination of forest i's depth-d block: global level-d start plus the
-    # room taken by earlier forests' depth-d blocks.  Computing these block
-    # starts from the per-level counts matrix realises the (depth, forest,
-    # BFS) interleaving by direct scatter — no sort needed.
-    live = [f for f in forests if f.n]
-    depth_counts = [np.diff(f.level_ptr) for f in live]
-    max_levels = max(len(c) for c in depth_counts)
-    counts = np.zeros((len(live), max_levels), dtype=np.intp)
-    for i, c in enumerate(depth_counts):
-        counts[i, : len(c)] = c
-    level_counts = counts.sum(axis=0)
-    level_ptr = np.zeros(max_levels + 1, dtype=np.intp)
-    np.cumsum(level_counts, out=level_ptr[1:])
-    # Exclusive prefix over forests, shifted to the global level starts.
-    block_start = np.cumsum(counts, axis=0) - counts + level_ptr[:-1]
-
-    topo = np.empty(total, dtype=np.intp)
-    degrees = np.empty(total, dtype=np.intp)
-    live_offsets = offsets[:-1][np.asarray(sizes, dtype=np.intp) > 0]
-    for i, f in enumerate(live):
-        depth_topo, degs = f._stack_arrays()
-        lp = f.level_ptr
-        dest = (
-            block_start[i][depth_topo]
-            + np.arange(f.n, dtype=np.intp)
-            - lp[:-1][depth_topo]
-        )
-        topo[dest] = f.topo_array + live_offsets[i]
-        degrees[dest] = degs
-    start = np.zeros(total + 1, dtype=np.intp)
-    np.cumsum(degrees, out=start[1:])
-    values = np.concatenate([f.values_array for f in live])
-    return StackedCSR(
-        topo=topo,
-        start=start,
-        level_ptr=level_ptr,
-        values=values,
-        offsets=offsets,
-        n_roots=n_roots,
-    )

@@ -7,7 +7,7 @@ connected components whose independence the AISF condition constrains.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import FrozenSet, Iterable, List
 
 from repro.core.bas.forest import Forest
 

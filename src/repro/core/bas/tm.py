@@ -19,7 +19,7 @@ Two interchangeable engines compute the aggregates:
 
 * :func:`tm_values` — the per-node reference loop, kept deliberately
   close to the paper's pseudocode;
-* :func:`tm_values_vectorized` — a batched kernel over the forest's CSR
+* :func:`tm_values_vectorized` — a numpy kernel over the forest's CSR
   layout that processes whole depth levels with ``np.add.reduceat`` and a
   row-partitioned top-k.  Exact for integer and ``Fraction`` values; for
   float values it may differ from the loop by summation-order ulps only.
@@ -36,14 +36,14 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.core.bas.forest import Forest, stack_csr
+from repro.core.bas.forest import Forest
 from repro.core.bas.subforest import SubForest
 from repro.obs.tracer import current_tracer
 from repro.utils import faults
 
 #: Forest size at which the automatic engine switches to the vectorized
 #: kernel.  Below this the Python loop is already fast and exact for every
-#: value dtype; above it the batched kernel wins by an order of magnitude.
+#: value dtype; above it the vectorized kernel wins by an order of magnitude.
 _VECTORIZE_MIN_NODES = 4096
 
 #: Cap on the per-level batch-size list attached to ``tm.level`` span
@@ -179,19 +179,14 @@ def _level_sweep(
 ) -> None:
     """The equation-3.1 DP over one CSR layout, deepest level first.
 
-    Shared verbatim by the single-forest vectorized kernel and the
-    cross-instance batched kernel: a :class:`~repro.core.bas.forest.StackedCSR`
-    satisfies the same BFS invariant (``topo[n_roots:]`` is the CSR children
-    index), so stacking many forests only changes the array sizes, never
-    the sweep.  Fills ``t``/``m`` in place, indexed by (global) node id.
+    Fills ``t``/``m`` in place, indexed by node id.
 
     Internally the DP runs in *position space* — arrays indexed by topo
     position, not node id.  There the BFS invariant makes every access a
     contiguous slice: level ``d`` is ``[level_ptr[d]:level_ptr[d+1])`` and
     its concatenated children are exactly level ``d + 1``, so the sweep
     does no per-level gathers at all.  Three whole-array permutations
-    (``values`` in, ``t``/``m`` out) pay for it once; on stacked batches
-    this is also what keeps the working set cache-local.
+    (``values`` in, ``t``/``m`` out) pay for it once.
     """
     exact = values.dtype == object  # Fraction (or mixed) values: stay exact
     values_pos = values[topo]
@@ -244,8 +239,7 @@ def _topk_big_sums(
 
     Rows are bucketed by degree (each bucket's max width within ~2x of its
     min) so one giant hub cannot inflate the zero-padded matrix for every
-    row — essential once levels from many stacked forests share a single
-    global max degree.  Within a bucket the usual trick applies: values are
+    row of its level.  Within a bucket the usual trick applies: values are
     positive, so zero padding never displaces a real child from the top k.
     """
     order = np.argsort(lens_big, kind="stable")
@@ -276,7 +270,7 @@ def _topk_big_sums(
 
 
 def _tm_values_auto(forest: Forest, k: int) -> Tuple[List, List]:
-    """Engine dispatch: the batched kernel for large forests, the reference
+    """Engine dispatch: the vectorized kernel for large forests, the reference
     loop below the crossover (where it is both exact and fast enough)."""
     vectorize = forest.n >= _VECTORIZE_MIN_NODES
     tracer = current_tracer()
@@ -286,93 +280,6 @@ def _tm_values_auto(forest: Forest, k: int) -> Tuple[List, List]:
     if vectorize:
         return tm_values_vectorized(forest, k)
     return tm_values(forest, k)
-
-
-def tm_values_batched(forests, k: int) -> List[Tuple[List, List]]:
-    """Equation 3.1 for *many* forests in one kernel pass.
-
-    The forests are stacked into one concatenated CSR layout
-    (:func:`repro.core.bas.forest.stack_csr`) whose levels interleave the
-    per-forest levels, so one ``np.maximum`` + ``np.add.reduceat`` sweep per
-    global depth level computes every instance's aggregates at once — the
-    per-level numpy call overhead is paid once per batch instead of once
-    per forest.  Returns one ``(t, m)`` pair per input forest, in order.
-
-    Exactness matches :func:`tm_values_vectorized`: the segment sums are
-    bit-identical (reduceat sees the same contiguous per-parent segments),
-    but on float forests the padded top-k path may differ by summation-order
-    ulps when the *global* max degree of a level differs from a forest's own
-    (the padding width changes the partition arrangement).  Integer forests
-    reproduce the per-forest kernel exactly.
-    """
-    _check_k(k)
-    forests = list(forests)
-    if not forests:
-        return []
-    stacked = stack_csr(forests)
-    total = stacked.n
-    tracer = current_tracer()
-    if tracer is not None:
-        with tracer.span("tm.batched", forests=len(forests), n=total, k=k):
-            tracer.count("tm.batched.forests", len(forests))
-            tracer.count("tm.nodes", total)
-            return _tm_values_batched_impl(forests, stacked, k)
-    return _tm_values_batched_impl(forests, stacked, k)
-
-
-def _tm_values_batched_impl(forests, stacked, k: int) -> List[Tuple[List, List]]:
-    total = stacked.n
-    t = np.zeros(total, dtype=stacked.values.dtype)
-    m = np.zeros(total, dtype=stacked.values.dtype)
-    if total:
-        _level_sweep(
-            stacked.topo, stacked.start, stacked.level_ptr, stacked.values,
-            stacked.n_roots, k, t, m,
-        )
-    # One big tolist + pointer-copy list slices beats per-forest tolist calls.
-    t_list, m_list = t.tolist(), m.tolist()
-    out: List[Tuple[List, List]] = []
-    for i in range(len(forests)):
-        lo, hi = int(stacked.offsets[i]), int(stacked.offsets[i + 1])
-        out.append((t_list[lo:hi], m_list[lo:hi]))
-    return out
-
-
-def _tm_values_batched_auto(forests, k: int) -> List[Tuple[List, List]]:
-    """Batch-level engine dispatch.
-
-    One stacked kernel pass when the batch is big enough to amortise the
-    per-level numpy overhead (total nodes past the single-forest crossover
-    and more than one forest); otherwise each forest takes its own
-    per-forest auto path.  Object-dtype (``Fraction``) forests always go
-    per-forest — the reference loop is their exact engine.
-    """
-    forests = list(forests)
-    total = sum(f.n for f in forests)
-    batched = (
-        len(forests) > 1
-        and total >= _VECTORIZE_MIN_NODES
-        and not any(f.values_array.dtype == object for f in forests)
-    )
-    tracer = current_tracer()
-    if tracer is not None:
-        tracer.count(f"tm.dispatch.{'batched' if batched else 'per-forest'}")
-    if batched:
-        return tm_values_batched(forests, k)
-    return [_tm_values_auto(f, k) for f in forests]
-
-
-def tm_optimal_values_batched(forests, k: int) -> List:
-    """``val`` of the optimal k-BAS of each forest, batched when worthwhile.
-
-    The drop-in cross-instance counterpart of :func:`tm_optimal_value`:
-    sweep cells that need many instances' optimal values pay one stacked
-    kernel pass instead of one dispatch per forest.
-    """
-    pairs = _tm_values_batched_auto(forests, k)
-    return [
-        sum(max(t[r], m[r]) for r in f.roots) for f, (t, m) in zip(forests, pairs)
-    ]
 
 
 def tm_optimal_bas(forest: Forest, k: int) -> SubForest:

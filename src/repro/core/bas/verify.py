@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.core.bas.forest import Forest
 from repro.core.bas.subforest import SubForest
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.scheduling.job import Job, JobSet
 from repro.scheduling.schedule import Schedule

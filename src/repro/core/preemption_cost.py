@@ -15,7 +15,7 @@ of the paper's opening paragraph.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
+from typing import Callable, Dict, NamedTuple, Optional, Sequence
 
 from repro.core.combined import schedule_k_bounded
 from repro.core.nonpreemptive import nonpreemptive_combined

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from repro.scheduling.job import JobSet
 from repro.utils.numeric import log_base
 
 

@@ -23,7 +23,7 @@ touching slices of the same job.  Lemma 4.1's three guarantees hold:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.bas.contraction import levelled_contraction
 from repro.core.bas.forest import Forest

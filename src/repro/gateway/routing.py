@@ -26,7 +26,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "ring_shard_for_key",

@@ -37,7 +37,7 @@ is one set-emptiness check per sweep.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.gateway.shard import ShardError

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-import numpy as np
 
 from repro.scheduling.job import Job, JobSet
 from repro.utils.rng import make_rng

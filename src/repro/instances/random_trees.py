@@ -9,7 +9,7 @@ value models (unit, uniform, exponential-in-depth mimicking Appendix A).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 

@@ -17,7 +17,7 @@ of the algorithms:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import heapq
 from functools import lru_cache
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from repro.scheduling.job import Job, JobSet
 from repro.scheduling.schedule import Schedule
-from repro.scheduling.segment import Segment, drop_zero_length, merge_touching
+from repro.scheduling.segment import drop_zero_length, merge_touching
 
 
 class EdfResult(NamedTuple):

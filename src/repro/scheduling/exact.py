@@ -28,14 +28,14 @@ Three exact engines live here:
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs.tracer import current_tracer
 from repro.scheduling.bitset_bb import bitset_solve
 from repro.scheduling.edf import edf_feasible, edf_feasible_cached, edf_schedule
 from repro.scheduling.job import Job, JobSet
 from repro.scheduling.schedule import Schedule
-from repro.scheduling.segment import Segment, drop_zero_length, merge_touching
+from repro.scheduling.segment import Segment, merge_touching
 
 
 def _branch_and_bound(jobs: JobSet):

@@ -10,7 +10,7 @@ zero-slack lower-bound instances round-trip losslessly.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, Union
 
 from repro.core.bas.forest import Forest
 from repro.scheduling.job import Job, JobSet, integral

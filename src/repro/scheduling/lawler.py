@@ -16,7 +16,7 @@ the same :func:`repro.scheduling.verify.verify_schedule` as everything else.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.scheduling.job import Job, JobSet
 from repro.scheduling.schedule import Schedule

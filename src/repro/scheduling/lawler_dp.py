@@ -31,10 +31,10 @@ the tests certify against the branch-and-bound solver.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.scheduling.edf import edf_schedule
-from repro.scheduling.job import Job, JobSet
+from repro.scheduling.job import JobSet
 from repro.scheduling.schedule import Schedule
 
 

@@ -25,13 +25,12 @@ jobs.
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.scheduling.edf import edf_feasible
 from repro.scheduling.job import Job, JobSet
 from repro.scheduling.schedule import Schedule
-from repro.scheduling.segment import Segment, drop_zero_length, merge_touching
+from repro.scheduling.segment import drop_zero_length, merge_touching
 
 
 def _residual_feasible(now, active: Dict[int, Tuple[Job, object]]) -> bool:

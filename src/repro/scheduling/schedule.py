@@ -18,8 +18,6 @@ from repro.scheduling.segment import (
     complement_within,
     coverage_hull,
     merge_touching,
-    sort_segments,
-    total_length,
 )
 
 

@@ -18,8 +18,8 @@ laptop-scale experiments here.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from typing import Iterable, List, Optional, Tuple
+from bisect import bisect_left
+from typing import Iterable, List, Optional
 
 from repro.scheduling.segment import Segment, complement_within, merge_touching
 

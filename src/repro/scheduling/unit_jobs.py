@@ -16,7 +16,7 @@ the k-bounded pipeline on unit-length instances.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment

@@ -29,7 +29,6 @@ __all__ = [
     "lax_jobsets",
     "forests",
     "int_forests",
-    "forest_batches",
     "forests_with_k",
     "feasible_schedules",
     "segment_lists",
@@ -236,21 +235,6 @@ def int_forests(draw, max_nodes: int = 60, max_value: int = 1000):
         parents.append(draw(st.integers(min_value=-1, max_value=i - 1)))
     values = [draw(st.integers(min_value=1, max_value=max_value)) for _ in range(n)]
     return Forest(parents, values)
-
-
-@st.composite
-def forest_batches(draw, max_forests: int = 5, max_nodes: int = 30, max_value: int = 500):
-    """Lists of integer-valued forests for the cross-instance batched kernel.
-
-    Mixed sizes within one batch are the interesting regime: the stacked
-    CSR layout interleaves per-forest levels, so a batch of one deep and
-    several shallow forests exercises the offset bookkeeping hardest.
-    """
-    count = draw(st.integers(min_value=1, max_value=max_forests))
-    return [
-        draw(int_forests(max_nodes=max_nodes, max_value=max_value))
-        for _ in range(count)
-    ]
 
 
 @st.composite

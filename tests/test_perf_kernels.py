@@ -35,7 +35,6 @@ from repro.core.bas.tm import (
     tm_optimal_bas,
     tm_optimal_value,
     tm_values,
-    tm_values_batched,
     tm_values_vectorized,
 )
 from repro.core.bas.verify import verify_bas
@@ -46,7 +45,7 @@ from repro.utils import faults
 from repro.utils.rng import spawn_rngs
 
 
-from tests.strategies import forest_batches, int_forests
+from tests.strategies import int_forests
 
 
 class TestVectorizedTm:
@@ -109,34 +108,6 @@ class TestVectorizedTm:
         assert bas.value == sum(max(t[r], m[r]) for r in f.roots)
 
 
-class TestBatchedTm:
-    """The cross-instance stacked kernel against its per-forest reference."""
-
-    @given(forest_batches(), st.integers(min_value=1, max_value=4))
-    @settings(max_examples=50, deadline=None)
-    def test_matches_per_forest_vectorized(self, batch, k):
-        # Integer forests: the stacked sweep must be bit-exact per forest.
-        assert tm_values_batched(batch, k) == [
-            tm_values_vectorized(f, k) for f in batch
-        ]
-
-    def test_mixed_shapes_float_agree_to_ulps(self):
-        batch = [
-            random_forest(200, trees=2, shape=shape, seed=seed)
-            for seed, shape in enumerate(("attachment", "preferential", "mixed"))
-        ]
-        for k in (1, 3):
-            for (t_b, m_b), f in zip(tm_values_batched(batch, k), batch):
-                t_r, m_r = tm_values_vectorized(f, k)
-                np.testing.assert_allclose(t_b, t_r, rtol=1e-12)
-                np.testing.assert_allclose(m_b, m_r, rtol=1e-12)
-
-    def test_empty_batch_and_k_zero(self):
-        assert tm_values_batched([], 2) == []
-        with pytest.raises(ValueError):
-            tm_values_batched([Forest([-1], [1])], 0)
-
-
 # ---------------------------------------------------------------------------
 # parallel sweep engine
 # ---------------------------------------------------------------------------
@@ -165,13 +136,6 @@ def _failing_cell(rng, n: int) -> dict:
     if int(n) == 13:
         raise ValueError("unlucky cell blew up")
     return {"ok": float(n)}
-
-
-def _bad_batch_cell(rngs, n: int) -> list:
-    return [{"x": 1.0}]  # always one run, regardless of len(rngs)
-
-
-_bad_batch_cell.batch_repeats = True
 
 
 def _exit_cell(rng, n: int) -> dict:
@@ -211,12 +175,6 @@ class TestParallelSweep:
         assert all(r.trace is not None for r in parallel)
         assert tracer.counters["sweep.cells_run"] == 4
 
-    def test_batch_repeats_rows_equal_serial(self):
-        cell = CELL_REGISTRY["bas_loss_random_batched"]
-        sweep = Sweep(axes={"n": [50, 80], "k": [1, 2]}, repeats=2)
-        serial = run_sweep(sweep, cell, seed=3, workers=1)
-        assert run_sweep(sweep, cell, seed=3, workers=2) == serial
-
     def test_fault_armed_after_workers_started_reaches_them(self):
         # Workers forked before the fault was armed must still run under it,
         # or serial-vs-parallel equality breaks under injection.
@@ -244,12 +202,6 @@ class TestParallelSweep:
         assert "_failing_cell" in str(exc.value.__cause__)
         ok = run_sweep(Sweep(axes={"n": [1, 2]}), _failing_cell, seed=0, workers=2)
         assert [r.metrics["ok"] for r in ok] == [1.0, 2.0]
-
-    def test_batch_repeats_length_mismatch_raises(self):
-        sweep = Sweep(axes={"n": [1, 2]}, repeats=3)
-        for workers in (1, 2):
-            with pytest.raises(ValueError, match="returned 1 runs for 3 repeats"):
-                run_sweep(sweep, _bad_batch_cell, seed=0, workers=workers)
 
     def test_worker_death_raises_and_next_sweep_succeeds(self):
         sweep = Sweep(axes={"n": [1, 2]}, repeats=1)

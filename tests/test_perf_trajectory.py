@@ -133,9 +133,9 @@ def test_run_bench_appends_and_returns_current_run(tmp_path, monkeypatch):
     import repro.analysis.perf as perf
 
     for name in (
-        "bench_tm_kernels", "bench_tm_batched", "bench_sweep_engine",
-        "bench_edf_cache", "bench_opt_exact", "bench_forest_traversals",
-        "bench_tracer_overhead", "bench_serve_cache", "bench_store_prewarm",
+        "bench_tm_kernels", "bench_sweep_engine", "bench_opt_exact",
+        "bench_forest_traversals", "bench_tracer_overhead",
+        "bench_serve_cache", "bench_store_prewarm",
     ):
         monkeypatch.setattr(perf, name, lambda **kw: [])
     out = tmp_path / "BENCH_perf.json"
@@ -151,9 +151,9 @@ def test_run_bench_out_none_writes_nothing(tmp_path, monkeypatch):
     import repro.analysis.perf as perf
 
     for name in (
-        "bench_tm_kernels", "bench_tm_batched", "bench_sweep_engine",
-        "bench_edf_cache", "bench_opt_exact", "bench_forest_traversals",
-        "bench_tracer_overhead", "bench_serve_cache", "bench_store_prewarm",
+        "bench_tm_kernels", "bench_sweep_engine", "bench_opt_exact",
+        "bench_forest_traversals", "bench_tracer_overhead",
+        "bench_serve_cache", "bench_store_prewarm",
     ):
         monkeypatch.setattr(perf, name, lambda **kw: [])
     monkeypatch.chdir(tmp_path)
